@@ -595,6 +595,28 @@ impl AppAgent {
         }
     }
 
+    /// Re-arms the poll loop. Where the next polls can only find nothing
+    /// to do before a known tick — the human's bind window, an unanswered
+    /// request's resend timeout, a finished flow with no queued action —
+    /// the timer idles until then; a packet, a power change or `actor_mut`
+    /// (queueing an action, restarting setup) wakes it sooner.
+    fn arm_poll(&self, ctx: &mut Ctx<'_>) {
+        let quiet_until = match self.current_step() {
+            Step::WaitWindow => Some(
+                self.entered_step_at
+                    .saturating_add(self.config.user_bind_delay),
+            ),
+            Step::Done => (!self.unbind_queued
+                && self.share_queue.is_empty()
+                && self.control_queue.is_empty())
+            .then_some(Tick(u64::MAX)),
+            _ => (self.awaiting != Await::None && self.last_send_at != Tick::ZERO)
+                .then(|| self.last_send_at.saturating_add(self.cur_delay)),
+        };
+        let until = quiet_until.unwrap_or(ctx.now());
+        ctx.set_idle_timer(self.config.poll_every, TIMER_TICK, until);
+    }
+
     fn pump_user_actions(&mut self, ctx: &mut Ctx<'_>) {
         if !self.setup_complete() {
             return;
@@ -657,7 +679,7 @@ impl Actor for AppAgent {
         self.entered_step_at = ctx.now();
         self.begin_setup_span(ctx.now());
         self.enter_step(ctx);
-        ctx.set_timer(self.config.poll_every, TIMER_TICK);
+        self.arm_poll(ctx);
     }
 
     fn on_power(&mut self, ctx: &mut Ctx<'_>, powered: bool) {
@@ -673,7 +695,7 @@ impl Actor for AppAgent {
             self.reset_retry();
             self.begin_setup_span(ctx.now());
             self.enter_step(ctx);
-            ctx.set_timer(self.config.poll_every, TIMER_TICK);
+            self.arm_poll(ctx);
         }
     }
 
@@ -794,6 +816,6 @@ impl Actor for AppAgent {
                 }
             }
         }
-        ctx.set_timer(self.config.poll_every, TIMER_TICK);
+        self.arm_poll(ctx);
     }
 }

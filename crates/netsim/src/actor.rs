@@ -41,7 +41,8 @@ pub trait Actor: Any {
         self.on_packet(ctx, from, payload);
     }
 
-    /// Called when a timer set via [`Ctx::set_timer`] fires.
+    /// Called when a timer set via [`Ctx::set_timer`] or
+    /// [`Ctx::set_idle_timer`] fires.
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, key: TimerKey) {
         let _ = (ctx, key);
     }
@@ -56,9 +57,23 @@ pub trait Actor: Any {
 /// Effects requested by an actor during one callback.
 #[derive(Debug)]
 pub(crate) enum Effect {
-    Send { dest: Dest, payload: Vec<u8> },
-    Timer { fire_at: Tick, key: TimerKey },
-    Mark { text: String },
+    Send {
+        dest: Dest,
+        payload: Vec<u8>,
+    },
+    Timer {
+        fire_at: Tick,
+        key: TimerKey,
+    },
+    IdleTimer {
+        fire_at: Tick,
+        period: u64,
+        key: TimerKey,
+        until: Tick,
+    },
+    Mark {
+        text: String,
+    },
 }
 
 /// Execution context handed to actor callbacks.
@@ -99,6 +114,34 @@ impl<'a> Ctx<'a> {
         self.effects.push(Effect::Timer {
             fire_at: self.now.saturating_add(delay),
             key,
+        });
+    }
+
+    /// Schedules [`Actor::on_timer`] after `period` ticks, re-armed every
+    /// `period` ticks, where the actor declares that every firing before
+    /// `until` would be a no-op that only re-arms the timer.
+    ///
+    /// It is exactly `set_timer(period, key)` with an `on_timer` that
+    /// answers each firing before `until` by `set_timer(period, key)` and
+    /// nothing else: the simulator keeps the timer out of its event queue
+    /// and puts it back, at the very position that re-armed chain would
+    /// hold, when virtual time reaches `until`, when any callback runs on
+    /// this node, or when [`crate::Simulation::actor_mut`] hands the actor
+    /// out. Pass `Tick(u64::MAX)` for "until something else happens". The
+    /// declaration must hold: a firing before `until` may not depend on
+    /// anything but the actor's own state, which only those three wake-ups
+    /// can change.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is zero.
+    pub fn set_idle_timer(&mut self, period: u64, key: TimerKey, until: Tick) {
+        assert!(period > 0, "idle timer period must be positive");
+        self.effects.push(Effect::IdleTimer {
+            fire_at: self.now.saturating_add(period),
+            period,
+            key,
+            until,
         });
     }
 

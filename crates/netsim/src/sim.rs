@@ -2,6 +2,7 @@
 
 use std::any::Any;
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -77,6 +78,84 @@ struct Node {
     powered: bool,
     wan_partitioned: bool,
     actor: Box<dyn Actor>,
+    /// Idle timers armed by this node's last callback and not yet woken
+    /// (`None` marks one that woke at its `until` or died while powered
+    /// off). Indexed by the `idle_queue` entries.
+    idle: Vec<Option<IdleTimer>>,
+}
+
+/// A timer kept out of the event queue while its firings are no-ops
+/// (see [`Ctx::set_idle_timer`]).
+#[derive(Debug, Clone, Copy)]
+struct IdleTimer {
+    key: TimerKey,
+    period: u64,
+    until: Tick,
+    /// Where the re-armed chain's pending firing would sit in the queue.
+    pos: Pos,
+}
+
+/// The total order of the event queue: by tick, then by scheduling order
+/// (`seq`, one counter for pushed events and idle-timer re-arms alike).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Pos {
+    at: Tick,
+    seq: u64,
+}
+
+impl Pos {
+    /// The first tick at which an idle timer re-armed now sorts after
+    /// `self` (`None`: never). A re-arm takes a seq above every event
+    /// already queued, so it passes a queued event at that event's own
+    /// tick; `seq: u64::MAX` stands for the end of tick `at`.
+    fn first_tick_after(self) -> Option<u64> {
+        if self.seq == u64::MAX {
+            self.at.0.checked_add(1)
+        } else {
+            Some(self.at.0)
+        }
+    }
+}
+
+/// An idle timer overtaken by the event about to run: it fires virtually
+/// `fires` times, at `pos.at`, `pos.at + period`, …
+struct Overtaken {
+    node: u32,
+    idx: u32,
+    pos: Pos,
+    period: u64,
+    fires: u64,
+}
+
+impl Overtaken {
+    /// Tick of the `k`-th virtual firing (0-based).
+    fn firing(&self, k: u64) -> u64 {
+        self.pos.at.0.saturating_add(k.saturating_mul(self.period))
+    }
+
+    /// The order in which the last virtual firings of `self` and `other`
+    /// run — the order their re-arms take seqs in. A firing at a timer's
+    /// old position was scheduled before this advance, so it runs before
+    /// any firing this advance schedules at the same tick.
+    fn cmp_last_firing(&self, other: &Overtaken) -> std::cmp::Ordering {
+        use std::cmp::Ordering::{Greater, Less};
+        let (k, j) = (self.fires - 1, other.fires - 1);
+        let (a, b) = (self.firing(k), other.firing(j));
+        if a != b {
+            return a.cmp(&b);
+        }
+        match (k, j) {
+            (0, 0) => self.pos.cmp(&other.pos),
+            (0, _) => Less,
+            (_, 0) => Greater,
+            // Same lattice: walking both chains back in step, the one that
+            // reaches its old position first ran first ever since.
+            _ if self.period == other.period => k.cmp(&j).then(self.pos.cmp(&other.pos)),
+            // Different periods: the firings that re-armed these two fell
+            // on different ticks.
+            _ => (a - self.period).cmp(&(b - other.period)),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -103,14 +182,13 @@ enum EventKind {
 }
 
 struct Event {
-    at: Tick,
-    seq: u64,
+    pos: Pos,
     kind: EventKind,
 }
 
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.pos == other.pos
     }
 }
 impl Eq for Event {}
@@ -121,7 +199,7 @@ impl PartialOrd for Event {
 }
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.pos.cmp(&other.pos)
     }
 }
 
@@ -131,6 +209,11 @@ impl Ord for Event {
 pub struct Simulation {
     nodes: Vec<Node>,
     queue: BinaryHeap<Reverse<Event>>,
+    /// Idle timers by position: `(pos, node, index into its idle list)`.
+    /// Entries whose timer has since woken or moved are stale and skipped.
+    idle_queue: BinaryHeap<Reverse<(Pos, u32, u32)>>,
+    /// Scratch buffer for [`Simulation::advance_idle`].
+    overtaken: Vec<Overtaken>,
     now: Tick,
     seq: u64,
     rng: SimRng,
@@ -191,6 +274,8 @@ impl Simulation {
             // Pre-sized: a single-home binding run schedules a few hundred
             // in-flight events; starting at 256 avoids the doubling churn.
             queue: BinaryHeap::with_capacity(256),
+            idle_queue: BinaryHeap::new(),
+            overtaken: Vec::new(),
             now: Tick::ZERO,
             seq: 0,
             rng: SimRng::new(seed),
@@ -283,6 +368,7 @@ impl Simulation {
             powered: true,
             wan_partitioned: false,
             actor,
+            idle: Vec::new(),
         });
         let at = self.now;
         self.push_event(at, EventKind::Start { node: id });
@@ -311,7 +397,13 @@ impl Simulation {
     }
 
     /// Mutable access to a node's actor, downcast to its concrete type.
+    ///
+    /// Wakes the node's idle timers first: whatever the caller changes,
+    /// their next firings run `on_timer` again.
     pub fn actor_mut<T: Actor>(&mut self, id: NodeId) -> Option<&mut T> {
+        if (id.0 as usize) < self.nodes.len() {
+            self.wake_idle(id.0 as usize);
+        }
         let a: &mut dyn Actor = self.nodes.get_mut(id.0 as usize)?.actor.as_mut();
         (a as &mut dyn Any).downcast_mut::<T>()
     }
@@ -450,19 +542,24 @@ impl Simulation {
     /// Runs the event loop until virtual time reaches `until` (inclusive of
     /// events at `until`). The clock is left at `until`.
     pub fn run_until(&mut self, until: Tick) {
-        while let Some(Reverse(ev)) = self.queue.pop() {
-            if ev.at > until {
-                // Beyond the horizon: put it back for a later run.
-                self.queue.push(Reverse(ev));
+        loop {
+            self.settle_idle(Some(until));
+            let Some(top) = self.queue.peek_mut() else {
+                break;
+            };
+            if top.0.pos.at > until {
+                // Beyond the horizon: keep it for a later run.
                 break;
             }
-            let gap = ev.at.as_u64().saturating_sub(self.now.as_u64());
-            self.now = ev.at;
+            let Reverse(ev) = PeekMut::pop(top);
+            let gap = ev.pos.at.as_u64().saturating_sub(self.now.as_u64());
+            self.now = ev.pos.at;
             self.dispatch_profiled(ev, gap);
         }
         if self.now < until {
             self.now = until;
         }
+        self.record_clock();
     }
 
     /// Runs for `delta` more ticks.
@@ -471,20 +568,32 @@ impl Simulation {
         self.run_until(until);
     }
 
-    /// Processes a single event. Returns `false` if the queue was empty.
+    /// Processes a single queued event. Returns `false` if none is queued.
+    ///
+    /// Idle timers (see [`Ctx::set_idle_timer`]) are not events: the
+    /// virtual firings that precede the popped event run first and cost
+    /// nothing, so one `step` can move the clock past many of them. With
+    /// the queue empty, the idle timer that reaches its finite `until`
+    /// first is put back into the queue and processed; idle timers that
+    /// wait forever, or sit on powered-off nodes, leave `step` returning
+    /// `false`.
     pub fn step(&mut self) -> bool {
+        self.settle_idle(None);
         match self.queue.pop() {
             Some(Reverse(ev)) => {
-                let gap = ev.at.as_u64().saturating_sub(self.now.as_u64());
-                self.now = ev.at;
+                let gap = ev.pos.at.as_u64().saturating_sub(self.now.as_u64());
+                self.now = ev.pos.at;
                 self.dispatch_profiled(ev, gap);
+                self.record_clock();
                 true
             }
             None => false,
         }
     }
 
-    /// Whether any events remain scheduled.
+    /// Whether no real event is queued. Idle timers do not count: a world
+    /// whose only pending work is an attacker endpoint waiting for frames
+    /// is idle.
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty()
     }
@@ -492,9 +601,179 @@ impl Simulation {
     // -- internals ----------------------------------------------------------
 
     fn push_event(&mut self, at: Tick, kind: EventKind) {
+        let pos = self.next_pos(at);
+        self.queue.push(Reverse(Event { pos, kind }));
+    }
+
+    /// The position of an event scheduled now for tick `at`.
+    fn next_pos(&mut self, at: Tick) -> Pos {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Event { at, seq, kind }));
+        Pos { at, seq }
+    }
+
+    /// Sets the `sim_now_ticks` gauge to the clock.
+    fn record_clock(&self) {
+        let now = i64::try_from(self.now.as_u64()).unwrap_or(i64::MAX);
+        self.telemetry.gauge_set("sim_now_ticks", now);
+    }
+
+    /// Arms an idle timer, or queues it right away when its first firing
+    /// is already due (`fire_at >= until`).
+    fn arm_idle(&mut self, node: usize, key: TimerKey, fire_at: Tick, period: u64, until: Tick) {
+        let pos = self.next_pos(fire_at);
+        if fire_at >= until {
+            let node = NodeId(node as u32);
+            self.queue.push(Reverse(Event {
+                pos,
+                kind: EventKind::Timer { node, key },
+            }));
+            return;
+        }
+        let list = &mut self.nodes[node].idle;
+        // Most nodes hold one idle timer; don't pay for four.
+        list.reserve_exact(1);
+        list.push(Some(IdleTimer {
+            key,
+            period,
+            until,
+            pos,
+        }));
+        let idx = (list.len() - 1) as u32;
+        self.idle_queue.push(Reverse((pos, node as u32, idx)));
+    }
+
+    /// Puts every idle timer of `node` into the event queue at its
+    /// position: its next firing runs `on_timer` like any timer.
+    fn wake_idle(&mut self, node: usize) {
+        if self.nodes[node].idle.is_empty() {
+            return;
+        }
+        let mut list = std::mem::take(&mut self.nodes[node].idle);
+        let id = NodeId(node as u32);
+        for t in list.drain(..).flatten() {
+            self.queue.push(Reverse(Event {
+                pos: t.pos,
+                kind: EventKind::Timer {
+                    node: id,
+                    key: t.key,
+                },
+            }));
+        }
+        // Hand the (empty) allocation back for the next arm.
+        self.nodes[node].idle = list;
+    }
+
+    /// Runs every virtual idle-timer firing that precedes the next event
+    /// due by `horizon` (`None`: no horizon), or, if none is due, every
+    /// one up to the end of `horizon`.
+    fn settle_idle(&mut self, horizon: Option<Tick>) {
+        while let Some(&Reverse((top, ..))) = self.idle_queue.peek() {
+            let bound = match self.queue.peek() {
+                Some(Reverse(ev)) if horizon.is_none_or(|h| ev.pos.at <= h) => ev.pos,
+                // Nothing due by the horizon: settle up to its end.
+                _ => Pos {
+                    at: horizon.unwrap_or(Tick(u64::MAX)),
+                    seq: u64::MAX,
+                },
+            };
+            if top >= bound || !self.advance_idle(bound) {
+                return;
+            }
+        }
+    }
+
+    /// Moves every idle timer positioned before `bound` to its first
+    /// position after it, exactly as the re-armed chain would have moved,
+    /// and returns whether anything moved.
+    ///
+    /// No event runs between these virtual firings, so each chain's last
+    /// re-arm takes the next seq, in the order those last firings ran.
+    /// If a timer reaches its `until` before `bound`, only the firings
+    /// before that tick run here: the timer goes into the queue, and the
+    /// caller comes back for the firings that follow it.
+    fn advance_idle(&mut self, bound: Pos) -> bool {
+        let mut batch = std::mem::take(&mut self.overtaken);
+        let mut cut = bound.first_tick_after();
+        while let Some(&Reverse((pos, node, idx))) = self.idle_queue.peek() {
+            if pos >= bound {
+                break;
+            }
+            self.idle_queue.pop();
+            let Some(Some(t)) = self.nodes[node as usize].idle.get(idx as usize) else {
+                continue;
+            };
+            if t.pos != pos {
+                continue;
+            }
+            // Its first firing at or past `until` (the lattice runs on
+            // from `pos.at`, which is before `until`); `Tick(u64::MAX)`
+            // means never, and so does a powered-off node, whose timers
+            // die at their next firing instead.
+            if t.until.0 < u64::MAX && self.nodes[node as usize].powered {
+                let steps = (t.until.0 - pos.at.0).div_ceil(t.period);
+                let wake = pos.at.0.saturating_add(steps.saturating_mul(t.period));
+                cut = Some(cut.map_or(wake, |c| c.min(wake)));
+            }
+            batch.push(Overtaken {
+                node,
+                idx,
+                pos,
+                period: t.period,
+                fires: 0,
+            });
+        }
+        let Some(cut) = cut else {
+            // Nothing can move without a horizon or a wake-up in sight.
+            for o in batch.drain(..) {
+                self.idle_queue.push(Reverse((o.pos, o.node, o.idx)));
+            }
+            self.overtaken = batch;
+            return false;
+        };
+        let mut moved = false;
+        batch.retain_mut(|o| {
+            if o.pos.at.0 > cut {
+                // Fires only after the cut: unchanged.
+                self.idle_queue.push(Reverse((o.pos, o.node, o.idx)));
+                return false;
+            }
+            moved = true;
+            let node = &mut self.nodes[o.node as usize];
+            if !node.powered {
+                // Its next firing is dropped, which ends the chain.
+                node.idle[o.idx as usize] = None;
+                return false;
+            }
+            // Its own position (before `bound`), then every lattice tick
+            // before the cut.
+            o.fires = (cut - o.pos.at.0).div_ceil(o.period).max(1);
+            true
+        });
+        batch.sort_unstable_by(Overtaken::cmp_last_firing);
+        for o in batch.drain(..) {
+            let pos = self.next_pos(Tick(o.firing(o.fires)));
+            let slot = &mut self.nodes[o.node as usize].idle[o.idx as usize];
+            let Some(t) = slot.as_mut() else {
+                continue;
+            };
+            if pos.at >= t.until {
+                let key = t.key;
+                *slot = None;
+                self.queue.push(Reverse(Event {
+                    pos,
+                    kind: EventKind::Timer {
+                        node: NodeId(o.node),
+                        key,
+                    },
+                }));
+            } else {
+                t.pos = pos;
+                self.idle_queue.push(Reverse((pos, o.node, o.idx)));
+            }
+        }
+        self.overtaken = batch;
+        moved
     }
 
     /// Dispatches one event, attributing the tick gap that led up to it
@@ -522,13 +801,7 @@ impl Simulation {
     fn dispatch(&mut self, ev: Event) {
         // One branch instead of a mutex round-trip when recording is off —
         // the fleet engine runs every cell with a disabled handle.
-        if self.telemetry.is_enabled() {
-            let now = self.now.as_u64();
-            self.telemetry.with(|r| {
-                r.counter_add("sim_events_total", 1);
-                r.gauge_set("sim_now_ticks", i64::try_from(now).unwrap_or(i64::MAX));
-            });
-        }
+        self.telemetry.incr("sim_events_total");
         match ev.kind {
             EventKind::Start { node } => {
                 if self.nodes[node.0 as usize].powered {
@@ -604,6 +877,7 @@ impl Simulation {
         cause: Option<TraceCtx>,
         f: impl FnOnce(&mut dyn Actor, &mut Ctx<'_>),
     ) {
+        self.wake_idle(id.0 as usize);
         let mut effects = Vec::new();
         {
             let node = &mut self.nodes[id.0 as usize];
@@ -633,6 +907,12 @@ impl Simulation {
                 Effect::Timer { fire_at, key } => {
                     self.push_event(fire_at, EventKind::Timer { node: id, key });
                 }
+                Effect::IdleTimer {
+                    fire_at,
+                    period,
+                    key,
+                    until,
+                } => self.arm_idle(id.0 as usize, key, fire_at, period, until),
                 Effect::Mark { text } => {
                     let ctx = match cause {
                         // A mark made while handling a packet belongs to
@@ -930,6 +1210,14 @@ impl std::fmt::Debug for Simulation {
             .field("now", &self.now)
             .field("nodes", &self.nodes.len())
             .field("pending_events", &self.queue.len())
+            .field(
+                "idle_timers",
+                &self
+                    .nodes
+                    .iter()
+                    .map(|n| n.idle.iter().flatten().count())
+                    .sum::<usize>(),
+            )
             .finish()
     }
 }
@@ -1228,6 +1516,81 @@ mod tests {
         assert_eq!(sim.actor::<Sink>(sink).unwrap().received.len(), 1);
         assert_eq!(sim.node_name(src), "src");
         assert_eq!(sim.node_count(), 2);
+    }
+
+    /// Waits (idle) until `until`, then fires for real and stops.
+    struct Sleeper {
+        until: Tick,
+        fired: Vec<Tick>,
+    }
+
+    impl Actor for Sleeper {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_idle_timer(10, 1, self.until);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _key: TimerKey) {
+            self.fired.push(ctx.now());
+            if ctx.now() < self.until {
+                ctx.set_idle_timer(10, 1, self.until);
+            }
+        }
+    }
+
+    #[test]
+    fn is_idle_counts_only_real_events() {
+        let mut sim = perfect_sim(13);
+        let n = sim.add_node(
+            NodeConfig::wan_only("s"),
+            Box::new(Sleeper {
+                until: Tick(95),
+                fired: Vec::new(),
+            }),
+        );
+        assert!(!sim.is_idle(), "start is queued");
+        sim.run_until(Tick(50));
+        // The idle timer is armed but nothing real is queued, and the
+        // four no-op firings at t10..t40 cost no events.
+        assert!(sim.is_idle());
+        assert_eq!(sim.telemetry().counter("sim_events_total"), 1);
+        assert_eq!(sim.now(), Tick(50));
+        sim.run_until(Tick(200));
+        assert_eq!(sim.actor::<Sleeper>(n).unwrap().fired, vec![Tick(100)]);
+        assert_eq!(sim.telemetry().counter("sim_events_total"), 2);
+        assert!(sim.is_idle());
+    }
+
+    #[test]
+    fn step_runs_overtaken_idle_firings_before_it_pops() {
+        let mut sim = perfect_sim(14);
+        let n = sim.add_node(
+            NodeConfig::wan_only("s"),
+            Box::new(Sleeper {
+                until: Tick(35),
+                fired: Vec::new(),
+            }),
+        );
+        assert!(sim.step(), "start");
+        assert_eq!(sim.now(), Tick(0));
+        // The queue is empty, but the timer wakes at t40 (first firing at or
+        // past t35): step passes t10..t30 and pops it.
+        assert!(sim.is_idle());
+        assert!(sim.step());
+        assert_eq!(sim.now(), Tick(40));
+        assert_eq!(sim.actor::<Sleeper>(n).unwrap().fired, vec![Tick(40)]);
+        assert!(!sim.step(), "nothing armed");
+        // Handing the actor out wakes a pending idle timer at its position.
+        sim.actor_mut::<Sleeper>(n).unwrap().until = Tick(1_000);
+        sim.with_actor(n, None, |_, ctx| ctx.set_idle_timer(10, 1, Tick(1_000)));
+        sim.run_until(Tick(75));
+        assert!(sim.is_idle());
+        let _ = sim.actor_mut::<Sleeper>(n);
+        assert!(!sim.is_idle(), "woken by actor_mut");
+        assert!(sim.step());
+        assert_eq!(sim.now(), Tick(80), "on the chain's lattice");
+        assert_eq!(
+            sim.actor::<Sleeper>(n).unwrap().fired,
+            vec![Tick(40), Tick(80)]
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use rb_netsim::{Actor, Ctx, Dest, NodeId, TimerKey};
+use rb_netsim::{Actor, Ctx, Dest, NodeId, Tick, TimerKey};
 
 const TIMER_DRAIN: TimerKey = 1;
 
@@ -36,11 +36,24 @@ impl RawEndpoint {
     pub fn take_inbox(&mut self) -> Vec<(NodeId, Vec<u8>)> {
         std::mem::take(&mut self.inbox)
     }
+
+    /// Arms the 1-tick drain. With nothing queued its firings are no-ops
+    /// until something wakes the node — `actor_mut` handing it out to
+    /// [`RawEndpoint::queue`], or a packet — so it idles for free; frames
+    /// queued before the world first ran go out on the next tick.
+    fn arm(&self, ctx: &mut Ctx<'_>) {
+        let until = if self.outbox.is_empty() {
+            Tick(u64::MAX)
+        } else {
+            ctx.now()
+        };
+        ctx.set_idle_timer(1, TIMER_DRAIN, until);
+    }
 }
 
 impl Actor for RawEndpoint {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(1, TIMER_DRAIN);
+        self.arm(ctx);
     }
 
     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
@@ -52,7 +65,7 @@ impl Actor for RawEndpoint {
             while let Some((dest, payload)) = self.outbox.pop_front() {
                 ctx.send(dest, payload);
             }
-            ctx.set_timer(1, TIMER_DRAIN);
+            self.arm(ctx);
         }
     }
 }
@@ -60,7 +73,7 @@ impl Actor for RawEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rb_netsim::{LinkQuality, NodeConfig, Simulation, Tick};
+    use rb_netsim::{LinkQuality, NodeConfig, Simulation, TraceEvent};
 
     #[test]
     fn queued_frames_are_sent_and_replies_collected() {
@@ -81,5 +94,38 @@ mod tests {
         let inbox = endpoint.take_inbox();
         assert_eq!(inbox, vec![(echo, vec![1, 2, 3])]);
         assert!(endpoint.inbox.is_empty(), "take_inbox drains");
+    }
+
+    #[test]
+    fn frame_queued_before_the_first_run_goes_out_at_tick_one() {
+        let mut sim = Simulation::with_quality(2, LinkQuality::perfect(), LinkQuality::perfect());
+        sim.enable_trace();
+        let sink = sim.add_node(NodeConfig::wan_only("sink"), Box::new(RawEndpoint::new()));
+        let raw = sim.add_node(NodeConfig::wan_only("raw"), Box::new(RawEndpoint::new()));
+        // Queued before `on_start` has run: the first arm must see it.
+        sim.actor_mut::<RawEndpoint>(raw)
+            .unwrap()
+            .queue(Dest::Unicast(sink), vec![7]);
+        sim.run_until(Tick(1_000));
+        let sent: Vec<Tick> = sim
+            .trace()
+            .iter()
+            .filter(|e| matches!(e.event, TraceEvent::Sent { .. }))
+            .map(|e| e.at)
+            .collect();
+        assert_eq!(sent, vec![Tick(1)]);
+        // Then both endpoints idle: nothing real stays queued.
+        assert!(sim.is_idle());
+        // A frame queued between runs goes out on the next tick.
+        sim.actor_mut::<RawEndpoint>(raw)
+            .unwrap()
+            .queue(Dest::Unicast(sink), vec![8]);
+        sim.run_until(Tick(1_010));
+        let inbox = sim.actor_mut::<RawEndpoint>(sink).unwrap().take_inbox();
+        assert_eq!(inbox, vec![(raw, vec![7]), (raw, vec![8])]);
+        assert!(sim
+            .trace()
+            .iter()
+            .any(|e| e.at == Tick(1_001) && matches!(e.event, TraceEvent::Sent { .. })));
     }
 }
