@@ -16,12 +16,11 @@
 
 use rb_netsim::SimRng;
 use rb_wire::ids::{DevId, IdScheme};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
 /// How a device ID leaked to the attacker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LeakChannel {
     /// Printed on the device itself (6 of the 10 studied devices).
     LabelOnDevice,
@@ -55,7 +54,7 @@ impl fmt::Display for LeakChannel {
 }
 
 /// The enumeration economics of one ID scheme at one probe rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnumerationCost {
     /// A human-readable scheme name.
     pub scheme: String,
@@ -99,7 +98,7 @@ impl EnumerationCost {
 }
 
 /// Result of a simulated enumeration sweep.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepResult {
     /// Probes spent.
     pub probes: u64,

@@ -78,6 +78,8 @@ fn reference_designs_survive_every_attack() {
 fn parallel_campaigns_match_sequential() {
     let seq = run_all(0x9A7A);
     let par = run_all_parallel(0x9A7A);
+    assert_eq!(seq.len(), 10, "one campaign per Table III vendor");
+    assert_eq!(par.len(), seq.len(), "parallel run dropped a vendor");
     for (a, b) in seq.iter().zip(&par) {
         assert_eq!(a.design.vendor, b.design.vendor);
         assert_eq!(a.row(), b.row());

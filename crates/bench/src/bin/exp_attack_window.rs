@@ -105,43 +105,35 @@ fn main() {
         ("TP-LINK (device bind)", vendors::tp_link()),
     ];
 
-    // Fan the (window, design, seed) grid out across threads; every cell is
-    // an independent deterministic world.
+    // Fan the (window, design) grid out, one worker per cell; every cell is
+    // an independent deterministic world. Results come back in grid order.
     let windows = [500u64, 2_000, 5_000, 15_000, 60_000];
-    let results = parking_lot::Mutex::new(std::collections::BTreeMap::new());
-    let scope_result = crossbeam::thread::scope(|scope| {
-        for (wi, &window) in windows.iter().enumerate() {
-            for (di, (_, design)) in designs.iter().enumerate() {
-                let results = &results;
-                scope.spawn(move |_| {
-                    // One registry per grid cell: the monitor's alert
-                    // counters accumulate across the cell's seeds, so the
-                    // detectability table below is a snapshot lookup, not
-                    // a trace re-scan.
-                    let telemetry = Telemetry::new();
-                    let wins = (0..seeds)
-                        .filter(|&s| race(design, window, 250, 0xA42 + s * 31 + window, &telemetry))
-                        .count();
-                    let alerts =
-                        telemetry.counter("cloud_alerts_total{kind=\"contested-binding\"}");
-                    // Alert burst: the sliding-window rate of the monitor's
-                    // `cloud_alerts` series over one setup window — the
-                    // `Telemetry::rate` helper, not hand-divided totals.
-                    let burst = telemetry.rate("cloud_alerts", window.max(1));
-                    results.lock().insert((wi, di), (wins, alerts, burst));
-                });
-            }
-        }
+    let grid: Vec<(usize, usize)> = (0..windows.len())
+        .flat_map(|wi| (0..designs.len()).map(move |di| (wi, di)))
+        .collect();
+    let results = rb_fleet::run_pool(&grid, grid.len(), |&(wi, di)| {
+        let window = windows[wi];
+        let design = &designs[di].1;
+        // One registry per grid cell: the monitor's alert counters
+        // accumulate across the cell's seeds, so the detectability table
+        // below is a snapshot lookup, not a trace re-scan.
+        let telemetry = Telemetry::new();
+        let wins = (0..seeds)
+            .filter(|&s| race(design, window, 250, 0xA42 + s * 31 + window, &telemetry))
+            .count();
+        let alerts = telemetry.counter("cloud_alerts_total{kind=\"contested-binding\"}");
+        // Alert burst: the sliding-window rate of the monitor's
+        // `cloud_alerts` series over one setup window — the
+        // `Telemetry::rate` helper, not hand-divided totals.
+        let burst = telemetry.rate("cloud_alerts", window.max(1));
+        (wins, alerts, burst)
     });
-    if scope_result.is_err() {
-        unreachable!("sweep threads never panic; the grid is deterministic");
-    }
-    let results = results.into_inner();
+    let cell = |wi: usize, di: usize| results[wi * designs.len() + di];
     let mut rows = Vec::new();
     for (wi, &window) in windows.iter().enumerate() {
         let mut row = vec![format!("{} ms", window)];
         for di in 0..designs.len() {
-            let (wins, _, _) = results[&(wi, di)];
+            let (wins, _, _) = cell(wi, di);
             row.push(format!("{wins}/{seeds}"));
         }
         rows.push(row);
@@ -157,7 +149,7 @@ fn main() {
     for (wi, &window) in windows.iter().enumerate() {
         let mut row = vec![format!("{} ms", window)];
         for di in 0..designs.len() {
-            let (_, alerts, burst) = results[&(wi, di)];
+            let (_, alerts, burst) = cell(wi, di);
             row.push(format!("{alerts} (burst {burst}/win)"));
         }
         alert_rows.push(row);
@@ -176,7 +168,7 @@ fn main() {
     report.meta("seeds_per_point", seeds);
     for (wi, &window) in windows.iter().enumerate() {
         for (di, (name, _)) in designs.iter().enumerate() {
-            let (wins, alerts, burst) = results[&(wi, di)];
+            let (wins, alerts, burst) = cell(wi, di);
             let key =
                 |stat: &str| format!("{}.win_{window}ms.{stat}", name.replace([' ', '/'], "_"));
             report

@@ -103,7 +103,9 @@ fn corpus_slice(i: u64) -> Vec<Envelope> {
                 session: None,
                 telemetry: vec![
                     TelemetryFrame::PowerMilliwatts(1_000 + i),
-                    TelemetryFrame::SwitchState { on: i.is_multiple_of(2) },
+                    TelemetryFrame::SwitchState {
+                        on: i.is_multiple_of(2),
+                    },
                 ],
                 button_pressed: false,
             }),

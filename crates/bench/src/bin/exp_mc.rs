@@ -35,7 +35,7 @@ use rb_mc::explore::{explore, Property};
 use rb_mc::replay::replay;
 
 /// Per-sweep accumulator, merged deterministically by design index.
-#[derive(Default, Clone)]
+#[derive(Default)]
 struct SweepTotals {
     states: usize,
     transitions: usize,
@@ -58,24 +58,20 @@ impl SweepTotals {
     }
 }
 
-/// Verifies one chunk of the space serially (the explorer itself runs
-/// single-threaded here; parallelism comes from chunking the designs).
-fn sweep_chunk(designs: &[VendorDesign]) -> SweepTotals {
-    let mut t = SweepTotals::default();
-    for design in designs {
-        let v = verify_design(design, 1);
-        t.states += v.mc.reachable;
-        t.transitions += v.mc.transitions;
-        for (i, property) in Property::ALL.into_iter().enumerate() {
-            if v.mc.witness(property).is_some() {
-                t.violations[i] += 1;
-            }
-        }
-        if v.mc.is_secure() {
-            t.secure += 1;
-        }
-        t.disagreements += v.disagreements.len();
-        t.shadow_coverage_sum += v.mc.shadow_coverage_percent();
+/// Verifies one design (the explorer itself runs single-threaded here;
+/// parallelism comes from fanning the designs out).
+fn sweep_design(design: &VendorDesign) -> SweepTotals {
+    let v = verify_design(design, 1);
+    let mut t = SweepTotals {
+        states: v.mc.reachable,
+        transitions: v.mc.transitions,
+        secure: usize::from(v.mc.is_secure()),
+        disagreements: v.disagreements.len(),
+        shadow_coverage_sum: v.mc.shadow_coverage_percent(),
+        ..SweepTotals::default()
+    };
+    for (i, property) in Property::ALL.into_iter().enumerate() {
+        t.violations[i] = usize::from(v.mc.witness(property).is_some());
     }
     t
 }
@@ -123,20 +119,12 @@ fn main() {
         designs.len()
     );
     let started = Instant::now();
-    let chunk_len = designs.len().div_ceil(threads);
-    let chunk_totals: Vec<SweepTotals> = std::thread::scope(|scope| {
-        let handles: Vec<_> = designs
-            .chunks(chunk_len.max(1))
-            .map(|chunk| scope.spawn(move || sweep_chunk(chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| panic!("sweep worker panicked")))
-            .collect()
-    });
+    let per_design = rb_fleet::run_pool(&designs, threads, sweep_design);
     let sweep_secs = started.elapsed().as_secs_f64();
+    // Absorbed in design order, so the float coverage sum does not depend
+    // on the thread count.
     let mut totals = SweepTotals::default();
-    for t in &chunk_totals {
+    for t in &per_design {
         totals.absorb(t);
     }
     let states_per_sec = totals.states as f64 / sweep_secs.max(1e-9);

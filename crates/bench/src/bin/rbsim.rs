@@ -374,7 +374,7 @@ fn cmd_compare(report_path: &str, baseline_path: &str, tolerance: f64) {
 fn cmd_monitor(design: &VendorDesign, seed: u64, json: bool) {
     let run = rb_scenario::monitor_run(design, seed);
     if json {
-        // Hand-rolled JSON (the workspace serde is a no-op stub). Alert
+        // Hand-rolled JSON (the repo has no serialization dependency). Alert
         // and state lines are plain `key=value` text: no escaping needed.
         let lines = |text: &str| {
             text.lines()

@@ -1,7 +1,7 @@
 //! # rb-bench
 //!
-//! Experiment binaries and criterion benchmarks regenerating every table
-//! and figure of the paper. See `DESIGN.md` for the experiment index and
+//! Experiment binaries regenerating every table and figure of the paper,
+//! plus the shared `BENCH` report schema ([`report`]) they all emit. See `DESIGN.md` for the experiment index and
 //! `EXPERIMENTS.md` for paper-vs-measured records.
 //!
 //! Binaries (each prints its artifact to stdout):

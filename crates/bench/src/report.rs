@@ -28,8 +28,8 @@
 //! [`compare`] is the regression gate: it checks a fresh report against a
 //!  committed baseline under a relative tolerance and returns every
 //! violation, so a perf PR sees the full damage report in one run.
-//! The workspace `serde` is a no-op stub, so both the writer and the
-//! reader here are hand-rolled.
+//! The repo writes its own formats and has no serialization dependency,
+//! so both the writer and the reader here are hand-rolled.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

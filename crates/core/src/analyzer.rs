@@ -13,7 +13,6 @@
 //! against the live simulated cloud and the Table III experiment
 //! cross-checks that prediction and execution agree.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::attacks::{AttackFamily, AttackId, Feasibility};
@@ -21,7 +20,7 @@ use crate::design::{BindScheme, ControlVerdict, DeviceAuthScheme, SetupOrder, Ve
 use crate::shadow::{Primitive, ShadowState};
 
 /// The analyzer's output for one design.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalysisReport {
     /// The analyzed vendor's name.
     pub vendor: String,
@@ -270,7 +269,7 @@ fn analyze_a4_3(design: &VendorDesign) -> Feasibility {
 // ---------------------------------------------------------------------------
 
 /// One row of the generic attack taxonomy (Table II).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaxonomyRow {
     /// The attack.
     pub attack: AttackId,

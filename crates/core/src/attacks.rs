@@ -1,12 +1,11 @@
 //! The attack taxonomy of Table II.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::shadow::{Primitive, ShadowState};
 
 /// The attacks of the paper's taxonomy (Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(non_camel_case_types)]
 pub enum AttackId {
     /// A1: data injection and stealing via forged `Status:DevId`.
@@ -140,7 +139,7 @@ impl fmt::Display for AttackId {
 }
 
 /// The four attack families of Table II's first column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AttackFamily {
     /// Data injection and stealing.
     A1,
@@ -195,7 +194,7 @@ impl fmt::Display for AttackFamily {
 
 /// The verdict on one attack against one design — either predicted (static
 /// analyzer) or observed (live campaign).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Feasibility {
     /// The attack succeeds.
     Feasible,

@@ -7,11 +7,10 @@
 //! same structure, so predictions and executions cannot drift apart.
 
 use rb_wire::ids::IdScheme;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How the cloud authenticates status messages (Figure 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceAuthScheme {
     /// Type 1: a dynamic random token requested by the app and delivered to
     /// the device during local configuration.
@@ -39,7 +38,7 @@ impl fmt::Display for DeviceAuthScheme {
 }
 
 /// How bindings are created (Figure 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BindScheme {
     /// ACL-based, binding message sent by the app: `Bind:(DevId,UserToken)`.
     AclApp,
@@ -67,7 +66,7 @@ impl fmt::Display for BindScheme {
 ///
 /// A design with neither accepted message has **no revocation**: a new
 /// binding replaces the old one (the paper's Type 3, device #3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct UnbindSupport {
     /// Type 1: `Unbind:(DevId, UserToken)`.
     pub dev_id_user_token: bool,
@@ -118,7 +117,7 @@ impl fmt::Display for UnbindSupport {
 /// The cloud-side checks and behaviours that decide attack feasibility
 /// (Section V). Every flag corresponds to one concrete decision in the
 /// `rb-cloud` message handlers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CloudChecks {
     /// On `Unbind:(DevId,UserToken)`, verify the requesting user is the
     /// *bound* user. Absent ⇒ attack A3-2.
@@ -180,7 +179,7 @@ impl CloudChecks {
 }
 
 /// The three-way answer to "does a stolen binding control the device?".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ControlVerdict {
     /// The cloud relays the hijacker's commands to the real device.
     Relayed,
@@ -194,7 +193,7 @@ pub enum ControlVerdict {
 /// obtain and analyze the device firmware. Without it, device-originated
 /// message formats are unknown and those forgeries are *unconfirmable* —
 /// the "O" cells of Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FirmwareKnowledge {
     /// Firmware was obtained and reverse engineered: device messages can be
     /// forged.
@@ -206,7 +205,7 @@ pub enum FirmwareKnowledge {
 /// In which order the vendor's setup flow performs device authentication
 /// and binding creation — this decides whether the online-unbound window
 /// exploited by A4-2 exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SetupOrder {
     /// Device registers first, then the user completes binding in the app:
     /// `initial → online → control`. The gap is the A4-2 window.
@@ -217,7 +216,7 @@ pub enum SetupOrder {
 }
 
 /// The product category, for realistic telemetry and examples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// Smart plug.
     SmartPlug,
@@ -252,7 +251,7 @@ impl fmt::Display for DeviceKind {
 
 /// One complete remote-binding design: everything the analyzer needs to
 /// predict attacks and the simulator needs to execute them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VendorDesign {
     /// Vendor name (e.g. "TP-LINK").
     pub vendor: String,

@@ -16,13 +16,12 @@
 
 use crate::attacks::AttackId;
 use crate::recommend::RecommendationId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Stable rule identifiers. The numbering is append-only: rules are
 /// never renumbered, so reports and suppressions stay meaningful across
 /// versions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// Unbind accepted without verifying the requester is the bound user.
     RB001,
@@ -161,7 +160,7 @@ impl fmt::Display for RuleId {
 }
 
 /// Finding severity, ordered most severe first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// The finding enables at least one feasible attack on this design.
     Error,
@@ -192,7 +191,7 @@ impl fmt::Display for Severity {
 
 /// A concrete remediation drawn from the lessons-learned catalogue
 /// ([`crate::recommend`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FixIt {
     /// The catalogue entry this fix corresponds to.
     pub recommendation: RecommendationId,
@@ -204,7 +203,7 @@ pub struct FixIt {
 }
 
 /// One finding of one rule on one design.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// The rule that fired.
     pub rule: RuleId,
@@ -234,7 +233,7 @@ impl fmt::Display for Diagnostic {
 
 /// All findings for one design, sorted by `(rule, span)` — the report is a
 /// pure function of the design, byte-for-byte.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintReport {
     /// The linted vendor's name.
     pub vendor: String,

@@ -8,7 +8,6 @@
 //! defenses are load-bearing, and what the minimal secure designs look
 //! like.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::analyzer::analyze;
@@ -87,7 +86,7 @@ pub fn all_designs() -> Vec<VendorDesign> {
 }
 
 /// Population-level statistics over the design space.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpaceStats {
     /// Number of coherent designs analyzed.
     pub total: usize,

@@ -4,7 +4,6 @@
 //! paper's remediation advice that applies — each item tied to the design
 //! element that triggers it and to the attacks it would eliminate.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::analyzer::analyze;
@@ -12,7 +11,7 @@ use crate::attacks::AttackId;
 use crate::design::{BindScheme, DeviceAuthScheme, VendorDesign};
 
 /// One actionable recommendation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recommendation {
     /// Short identifier (mirrors Section VII's four lessons plus the
     /// per-check fixes of Sections IV/V).
@@ -25,7 +24,7 @@ pub struct Recommendation {
 }
 
 /// Identifiers for the recommendation catalogue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RecommendationId {
     /// Lesson 1: replace static-ID authentication with dynamic tokens.
     UseDynamicDeviceToken,

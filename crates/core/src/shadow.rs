@@ -15,11 +15,10 @@
 //! Offline transitions (heartbeat timeout / power-off) move
 //! `Online -> Initial` and `Control -> Bound`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A state of the device shadow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ShadowState {
     /// Offline and unbound — the factory/reset state.
     Initial,
@@ -104,7 +103,7 @@ impl fmt::Display for ShadowState {
 }
 
 /// The primitive inputs of the state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Primitive {
     /// A status (registration/heartbeat) message was accepted.
     Status,
@@ -144,7 +143,7 @@ impl fmt::Display for Primitive {
 
 /// A tracked shadow: the state plus bookkeeping the model layer exposes to
 /// the cloud implementation (who is bound, when the last status arrived).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Shadow<U> {
     state: ShadowState,
     bound_user: Option<U>,

@@ -26,13 +26,11 @@
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use crate::design::{BindScheme, ControlVerdict, VendorDesign};
 use crate::diagnostic::{Diagnostic, RuleId, Severity as DiagSeverity};
 
 /// A protocol principal in the abstract model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Party {
     /// The legitimate owner.
     User,
@@ -41,7 +39,7 @@ pub enum Party {
 }
 
 /// Who currently speaks as the device at the cloud.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DeviceSrc {
     /// No live session.
     None,
@@ -66,7 +64,7 @@ impl DeviceSrc {
 }
 
 /// The abstract cloud state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AbsState {
     /// Who speaks as the device.
     pub src: DeviceSrc,
@@ -93,7 +91,7 @@ impl AbsState {
 }
 
 /// The actions of the abstract protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Act {
     /// The real device registers (power-on / reconnect).
     DevRegister,
@@ -275,7 +273,7 @@ pub fn user_disconnect_step(pre: AbsState, act: Act, post: AbsState) -> bool {
 }
 
 /// The checker's verdict for one design.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecReport {
     /// Reachable abstract states.
     pub reachable: usize,

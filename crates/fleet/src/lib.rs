@@ -18,12 +18,14 @@
 //!
 //! ## Execution
 //!
-//! [`run_fleet`] drives a work-stealing pool: `std::thread::scope` workers
-//! pull cell indices from a shared atomic cursor (an injector queue — no
-//! per-thread pre-partitioning, so stragglers never idle the pool). Results
-//! land in a slot vector *indexed by cell*, which makes the merged
-//! [`FleetReport`] byte-identical whatever the thread count or completion
-//! order: `--threads 1` and `--threads 8` render the same bytes.
+//! [`run_fleet`] drives [`run_pool`], the workspace's one parallel runner:
+//! `std::thread::scope` workers pull item indices from a shared atomic
+//! cursor (an injector queue — no per-thread pre-partitioning, so
+//! stragglers never idle the pool). Results land in a slot vector *indexed
+//! by item*, which makes the merged [`FleetReport`] byte-identical whatever
+//! the thread count or completion order: `--threads 1` and `--threads 8`
+//! render the same bytes. The campaign runner, the model checker's BFS
+//! levels and the experiment sweeps fan out through the same function.
 //!
 //! Wall-clock timings are collected on the side in [`FleetTimings`] — they
 //! are machine-dependent by nature and therefore never appear in the
@@ -285,8 +287,9 @@ impl FleetReport {
         out
     }
 
-    /// Stable JSON rendering (hand-rolled; the workspace `serde` is a
-    /// no-op stub). Cell order fixes the array order.
+    /// Stable JSON rendering (hand-rolled: the repo writes its own formats
+    /// and has no serialization dependency). Cell order fixes the array
+    /// order.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"cells\":[");
         for (i, c) in self.cells.iter().enumerate() {
@@ -362,7 +365,7 @@ impl FleetTimings {
 /// byte-identical to a serial run.
 pub fn run_fleet(spec: &FleetSpec) -> (FleetReport, FleetTimings) {
     let cells = spec.cells();
-    let (reports, timings) = run_pool(&cells, spec.threads, run_cell);
+    let (reports, timings) = run_timed(&cells, spec.threads, run_cell);
     (FleetReport { cells: reports }, timings)
 }
 
@@ -374,7 +377,7 @@ pub fn run_fleet(spec: &FleetSpec) -> (FleetReport, FleetTimings) {
 /// byte-identical for any thread count.
 pub fn run_fleet_profiled(spec: &FleetSpec) -> (FleetReport, PhaseProfile, FleetTimings) {
     let cells = spec.cells();
-    let (results, timings) = run_pool(&cells, spec.threads, run_cell_profiled);
+    let (results, timings) = run_timed(&cells, spec.threads, run_cell_profiled);
     let mut merged = PhaseProfile::default();
     let mut reports = Vec::with_capacity(results.len());
     for (report, profile) in results {
@@ -384,59 +387,89 @@ pub fn run_fleet_profiled(spec: &FleetSpec) -> (FleetReport, PhaseProfile, Fleet
     (FleetReport { cells: reports }, merged, timings)
 }
 
-/// The shared work-stealing pool: workers claim cell indices from an
-/// atomic cursor and deposit `run(cell)` into the cell's slot, so the
-/// collected vector is in cell order regardless of completion order.
-fn run_pool<R: Send>(
+/// Times every job and the whole pool, in the shape [`FleetTimings`]
+/// reports.
+fn run_timed<R: Send>(
     cells: &[Cell],
     threads: usize,
     run: impl Fn(&Cell) -> R + Sync,
 ) -> (Vec<R>, FleetTimings) {
-    let threads = threads.max(1).min(cells.len().max(1));
-    let cursor = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<(R, u64)>>> =
-        Mutex::new(std::iter::repeat_with(|| None).take(cells.len()).collect());
     let started = Instant::now();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::SeqCst);
-                let Some(cell) = cells.get(i) else { break };
-                let cell_started = Instant::now();
-                let result = run(cell);
-                let nanos = u64::try_from(cell_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                if let Ok(mut slots) = slots.lock() {
-                    slots[i] = Some((result, nanos));
-                }
-            });
-        }
+    let timed = run_pool(cells, threads, |cell| {
+        let cell_started = Instant::now();
+        let result = run(cell);
+        (result, elapsed_nanos(cell_started))
     });
-
-    let total_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let filled = match slots.into_inner() {
-        Ok(v) => v,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    let mut results = Vec::with_capacity(filled.len());
-    let mut cell_nanos = Vec::with_capacity(filled.len());
-    for (i, slot) in filled.into_iter().enumerate() {
-        match slot {
-            Some((result, nanos)) => {
-                results.push(result);
-                cell_nanos.push(nanos);
-            }
-            None => unreachable!("cell {i} was claimed but never reported"),
-        }
-    }
+    let total_nanos = elapsed_nanos(started);
+    let (results, cell_nanos) = timed.into_iter().unzip();
     (
         results,
         FleetTimings {
             cell_nanos,
             total_nanos,
-            threads,
+            threads: worker_count(threads, cells.len()),
         },
     )
+}
+
+/// Workers [`run_pool`] spawns: at least one, at most one per item.
+fn worker_count(threads: usize, items: usize) -> usize {
+    threads.max(1).min(items.max(1))
+}
+
+fn elapsed_nanos(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The workspace's one parallel runner: maps `job` over `items` on
+/// `threads` scoped workers (at least one, at most one per item) and
+/// returns the results **in input order**.
+///
+/// Workers claim item indices from a shared atomic cursor (injector-queue
+/// semantics: no static partitioning, so a slow item never strands work
+/// behind it) and deposit each result into the item's slot. The output
+/// therefore depends only on `items` and `job`, never on the thread count
+/// or completion order. A panicking job panics the caller once every
+/// worker has stopped.
+///
+/// ```
+/// let squares = rb_fleet::run_pool(&[1, 2, 3, 4], 3, |x| x * x);
+/// assert_eq!(squares, [1, 4, 9, 16]);
+/// ```
+pub fn run_pool<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    job: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let threads = worker_count(threads, items.len());
+    let cursor = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<R>>> =
+        Mutex::new(std::iter::repeat_with(|| None).take(items.len()).collect());
+
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let result = job(item);
+                if let Ok(mut slots) = slots.lock() {
+                    slots[i] = Some(result);
+                }
+            });
+        }
+    });
+
+    let filled = match slots.into_inner() {
+        Ok(v) => v,
+        Err(poisoned) => poisoned.into_inner(),
+    };
+    filled
+        .into_iter()
+        .enumerate()
+        .map(|(i, slot)| {
+            slot.unwrap_or_else(|| unreachable!("item {i} was claimed but never reported"))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -480,6 +513,55 @@ mod tests {
         assert_eq!(t.quantile_nanos(0.95), 50);
         assert_eq!(t.quantile_nanos(0.0), 10);
         assert_eq!(t.quantile_nanos(1.0), 50);
+    }
+
+    #[test]
+    fn pool_returns_results_in_input_order_at_any_thread_count() {
+        let items: Vec<u64> = (0..37).collect();
+        let expected: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
+        for threads in [0, 1, 2, 8, items.len() + 5] {
+            assert_eq!(
+                run_pool(&items, threads, |x| x * x + 1),
+                expected,
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn pool_on_empty_input_returns_empty() {
+        let out: Vec<u8> = run_pool(&[] as &[u8], 4, |_| unreachable!("no items"));
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn pool_runs_every_item_exactly_once() {
+        let items: Vec<usize> = (0..100).collect();
+        let calls: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+        let total = AtomicUsize::new(0);
+        run_pool(&items, 8, |&i| {
+            calls[i].fetch_add(1, Ordering::Relaxed);
+            total.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(total.into_inner(), items.len());
+        assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn pool_propagates_a_panicking_job() {
+        let items: Vec<u32> = (0..16).collect();
+        for threads in [1, 4] {
+            let outcome = std::panic::catch_unwind(|| {
+                run_pool(&items, threads, |&x| {
+                    assert_ne!(x, 9, "job 9 fails");
+                    x
+                })
+            });
+            assert!(
+                outcome.is_err(),
+                "{threads} threads: a panic must not yield a short result"
+            );
+        }
     }
 
     #[test]

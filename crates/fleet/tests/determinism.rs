@@ -2,11 +2,13 @@
 //! *byte-identical* whatever the thread count, because each cell owns its
 //! world and the merge is slot-indexed. This is the invariant that makes
 //! the parallel engine trustworthy — any cross-cell leakage (shared RNG,
-//! shared registry, order-dependent merge) breaks it loudly here.
+//! shared registry, order-dependent merge) breaks it loudly here. The same
+//! holds for the streaming monitor's alert stream when monitor-enabled
+//! worlds fan out through [`run_pool`].
 
-use rb_core::vendors::vendor_designs;
-use rb_fleet::{run_fleet, run_fleet_profiled, FleetSpec};
-use rb_scenario::ChaosProfile;
+use rb_core::vendors::{self, vendor_designs};
+use rb_fleet::{run_fleet, run_fleet_profiled, run_pool, FleetSpec};
+use rb_scenario::{monitor_run, ChaosProfile};
 
 fn small_spec(seed_base: u64) -> FleetSpec {
     // Two designs x two seeds x (benign + one chaos profile): eight cells,
@@ -76,4 +78,41 @@ fn benign_cells_converge_for_every_design() {
     assert_eq!(report.control_homes(), report.homes());
     assert_eq!(timings.cell_nanos.len(), 10);
     assert!(timings.total_nanos > 0);
+}
+
+/// The little vendor × seed matrix the monitor determinism sweep runs.
+/// Small on purpose: the full grid belongs to `exp_defense`.
+fn monitor_matrix() -> Vec<(rb_core::design::VendorDesign, u64)> {
+    let mut cells = Vec::new();
+    for design in [vendors::tp_link(), vendors::e_link(), vendors::ozwi()] {
+        for seed in [7, 11] {
+            cells.push((design.clone(), seed));
+        }
+    }
+    cells
+}
+
+/// Runs the monitor matrix on `threads` workers and returns one
+/// byte-stable artifact (alert stream, monitor state, Prometheus export)
+/// per cell.
+fn monitor_sweep(threads: usize) -> Vec<String> {
+    run_pool(&monitor_matrix(), threads, |(design, seed)| {
+        let run = monitor_run(design, *seed);
+        format!(
+            "== {} seed={seed}\n{}\n{}\n{}",
+            design.vendor,
+            run.alert_stream,
+            run.state,
+            run.telemetry.to_prometheus()
+        )
+    })
+}
+
+#[test]
+fn alert_stream_and_state_are_identical_at_1_4_and_8_threads() {
+    let one = monitor_sweep(1);
+    let four = monitor_sweep(4);
+    let eight = monitor_sweep(8);
+    assert_eq!(one, four, "4-thread sweep must be byte-identical");
+    assert_eq!(one, eight, "8-thread sweep must be byte-identical");
 }

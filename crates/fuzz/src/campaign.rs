@@ -118,8 +118,8 @@ impl FuzzReport {
         self.findings.iter().filter_map(|f| f.cell).collect()
     }
 
-    /// The report as one JSON object (hand-rolled; the workspace serde
-    /// is a no-op stub).
+    /// The report as one JSON object (hand-rolled; the repo has no
+    /// serialization dependency).
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();

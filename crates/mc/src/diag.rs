@@ -33,11 +33,10 @@ use rb_core::design::VendorDesign;
 use rb_core::diagnostic::{Diagnostic, LintReport, RuleId, Severity};
 use rb_core::spec;
 use rb_lint::rules::lint_design;
-use serde::{Deserialize, Serialize};
 
 /// The closed-form expectation for each property, derived from the
 /// design predicates the paper's reasoning justifies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Expected {
     /// ATTACKER-BOUND ⇔ the binding message is forgeable.
     pub attacker_bound: bool,

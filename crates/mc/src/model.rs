@@ -35,12 +35,11 @@
 
 use rb_core::design::{BindScheme, VendorDesign};
 use rb_core::spec::{self, AbsState, DeviceSrc, Party};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A state of the product machine: the spec's abstract cloud state plus
 /// the session-staleness bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PState {
     /// Who currently speaks as the device at the cloud.
     pub src: DeviceSrc,
@@ -131,7 +130,7 @@ impl PState {
 pub const KEY_SPACE: usize = 512;
 
 /// The actions of the product machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum McAct {
     /// The physically-present user configures the device (loading Wi-Fi
     /// credentials, tokens, or account material as the design requires)

@@ -10,7 +10,6 @@
 //!
 //! [`Simulation::apply_fault_plan`]: crate::Simulation::apply_fault_plan
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::quality::LinkQuality;
@@ -19,7 +18,7 @@ use crate::time::Tick;
 use crate::topology::{LanId, NodeId};
 
 /// One injectable fault.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fault {
     /// Cut (or restore) a node's WAN uplink — an ISP outage or the flap of
     /// a congested home router.
@@ -135,7 +134,7 @@ impl fmt::Display for Fault {
 /// Build one with the combinators below (possibly drawing times from a
 /// [`SimRng`]), then hand it to `Simulation::apply_fault_plan`. Events at
 /// equal ticks fire in insertion order.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     events: Vec<(Tick, Fault)>,
 }

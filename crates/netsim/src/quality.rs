@@ -1,7 +1,5 @@
 //! Link-quality models: latency, jitter, loss.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::SimRng;
 
 /// Latency/loss characteristics of a network path.
@@ -9,7 +7,7 @@ use crate::rng::SimRng;
 /// Latency for each packet is drawn uniformly from
 /// `[latency_min, latency_max]` ticks; the packet is dropped with
 /// probability `drop_per_mille / 1000`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkQuality {
     /// Minimum one-way latency in ticks.
     pub latency_min: u64,

@@ -6,8 +6,6 @@
 //! drawn from the simulation's [`SimRng`], so retry schedules are part of
 //! the deterministic execution.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::SimRng;
 
 /// Parameters of an exponential-backoff schedule.
@@ -17,7 +15,7 @@ use crate::rng::SimRng;
 /// Because the jitter never exceeds the un-jittered delay (per-mille is
 /// clamped to 1000), the schedule is monotone non-decreasing for any RNG
 /// stream, and it is bounded by `cap`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Delay before the first retry.
     pub base: u64,
@@ -75,7 +73,7 @@ impl RetryPolicy {
 }
 
 /// Mutable retry state: an attempt counter against a [`RetryPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Retry {
     policy: RetryPolicy,
     attempt: u32,

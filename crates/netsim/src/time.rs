@@ -1,15 +1,12 @@
 //! Virtual time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in virtual time. One tick ≈ one millisecond of simulated time
 /// (the convention used by the experiment harness; the simulator itself only
 /// requires ticks to be totally ordered).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Tick(pub u64);
 
 impl Tick {

@@ -1,10 +1,9 @@
 //! Node and LAN identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a node (device, app, cloud, attacker) in the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -14,7 +13,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifies a broadcast domain (a home LAN behind one router).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LanId(pub u32);
 
 impl fmt::Display for LanId {

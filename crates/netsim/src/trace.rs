@@ -1,6 +1,5 @@
 //! Execution tracing for experiments and figures.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::time::Tick;
@@ -19,7 +18,7 @@ use crate::topology::NodeId;
 ///
 /// Ids are allocated by deterministic counters in the simulator and never
 /// draw randomness, so identical seeds produce identical trees.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct TraceCtx {
     /// The causal tree this event belongs to (1-based; 0 = untraced).
     pub trace_id: u64,
@@ -53,7 +52,7 @@ impl fmt::Display for TraceCtx {
 }
 
 /// What happened at one traced instant.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A packet left a node.
     Sent {
@@ -134,7 +133,7 @@ pub enum TraceEvent {
 }
 
 /// A timestamped trace record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEntry {
     /// When it happened.
     pub at: Tick,
@@ -307,8 +306,8 @@ impl TraceEntry {
     /// Canonical single-line JSON encoding, e.g.
     /// `{"at":3,"kind":"sent","from":1,"to":2,"bytes":10}`. The inverse of
     /// [`TraceEntry::from_json`]; used by exporters so goldens stay
-    /// byte-stable. (The workspace `serde` is a no-op stub, so this codec
-    /// is written by hand.)
+    /// byte-stable. (The repo has no serialization dependency, so this
+    /// codec is written by hand.)
     pub fn to_json(&self) -> String {
         let at = self.at.as_u64();
         let ctx_fields = |ctx: &TraceCtx| {

@@ -207,8 +207,8 @@ fn parser_accepts_reordered_fields_and_whitespace() {
 #[test]
 fn parser_defaults_absent_context_and_drop_bytes_to_zero() {
     // Pre-PR-4 encodings carried no trace context and no bytes on
-    // Dropped/Unroutable: they must still decode (serde-compatible
-    // defaults), landing at ctx zero / 0 bytes.
+    // Dropped/Unroutable: they must still decode (absent fields take
+    // their defaults), landing at ctx zero / 0 bytes.
     let entry =
         TraceEntry::from_json(r#"{"at":3,"kind":"sent","from":1,"to":2,"bytes":10}"#).unwrap();
     assert_eq!(

@@ -1,6 +1,5 @@
 //! Wi-Fi credential value type shared by all provisioning schemes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// SSID and pre-shared key of the home network being provisioned.
@@ -8,7 +7,7 @@ use std::fmt;
 /// The PSK is redacted in `Debug`/`Display`; the paper's related work
 /// (\[41\]) shows SmartCfg-style provisioning can leak exactly this value,
 /// so the simulator treats it as a secret everywhere.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct WifiCredentials {
     ssid: String,
     psk: String,

@@ -38,8 +38,8 @@ pub use registry::{Registry, SpanId, SpanRecord, StreamEvent};
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Escaping helpers for the hand-rolled JSON writers (the workspace `serde`
-/// is a no-op stub, so every exporter writes strings by hand).
+/// Escaping helpers for the hand-rolled JSON writers (the repo has no
+/// serialization dependency, so every exporter writes strings by hand).
 pub mod json {
     /// Escapes `s` for inclusion inside a JSON string literal.
     pub fn escape(s: &str) -> String {

@@ -367,8 +367,9 @@ impl Registry {
     // ----- exporters --------------------------------------------------------
 
     /// Canonical JSON snapshot: objects keyed in sorted order, spans in
-    /// creation order, every string escaped by hand (the workspace `serde`
-    /// is a no-op stub). Byte-stable across identical runs.
+    /// creation order, every string escaped by hand (the repo writes its
+    /// own formats and has no serialization dependency). Byte-stable
+    /// across identical runs.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         let mut first = true;

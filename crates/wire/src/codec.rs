@@ -50,7 +50,6 @@
 //! ```
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::envelope::Envelope;
 
@@ -176,7 +175,7 @@ impl Codec for ClassicCodec {
 /// Selects one of the built-in codecs. `Copy`, so it threads through
 /// configuration structs ([`Default`] is [`CodecKind::Classic`]); call
 /// [`CodecKind::codec`] at the byte boundary to get the implementation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum CodecKind {
     /// The pinned self-describing big-endian format ([`ClassicCodec`]).
     #[default]

@@ -6,14 +6,13 @@
 //! carry both.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{decode_message, decode_response, encode_message, encode_response, CodecKind};
 use crate::error::WireError;
 use crate::messages::{Message, Response};
 
 /// Correlation id matching responses to requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CorrId(pub u64);
 
 /// A framed request or response travelling over the simulated network.

@@ -8,7 +8,6 @@
 //! shapes observed in the wild and [`IdScheme`] captures the allocation
 //! policies, so the `rb-attack` crate can quantify search spaces exactly.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::error::WireError;
@@ -19,7 +18,7 @@ use crate::error::WireError;
 /// they identify the vendor and are public knowledge, which is why the paper
 /// notes "with vendor-specific bytes excluded, the search space of MAC
 /// addresses is often within 3 bytes".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MacAddr([u8; 6]);
 
 impl MacAddr {
@@ -80,7 +79,7 @@ impl fmt::Display for MacAddr {
 /// authenticator — it can be inferred, enumerated, or leaked through
 /// ownership transfer, yet several of the studied vendors authenticate
 /// devices with nothing else.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DevId {
     /// The device's MAC address (vendors #2, #5, #6, #8, #10 style).
     Mac(MacAddr),
@@ -157,7 +156,7 @@ impl From<MacAddr> for DevId {
 /// The scheme determines the attacker's search space (Section III-A); the
 /// `rb-attack::idspace` module uses [`IdScheme::search_space`] and
 /// [`IdScheme::id_at`] to reproduce the paper's enumeration-cost claims.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum IdScheme {
     /// MAC addresses with a publicly known vendor OUI; the attacker must
     /// search only the 24-bit NIC suffix.

@@ -7,7 +7,6 @@
 //! studied vendors (Figures 3 and 4, Section IV-C), so a vendor design is
 //! just a choice of variants, and an attack is just a forged value.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::bytestr::ByteStr;
@@ -16,7 +15,7 @@ use crate::telemetry::{RuleTrigger, ScheduleEntry, TelemetryFrame};
 use crate::tokens::{BindToken, DevToken, SessionToken, UserId, UserPw, UserToken};
 
 /// How a `Status` message authenticates the device (Figure 3).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum StatusAuth {
     /// Type 1: a dynamic [`DevToken`] obtained via the user's app during
     /// local configuration. The secure commodity option.
@@ -51,7 +50,7 @@ impl StatusAuth {
 /// The paper notes both "share the same functionality: they change the
 /// online/offline state of a device shadow", so the cloud treats them
 /// uniformly; the distinction matters only for realistic traffic shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StatusKind {
     /// First message after the device joins the network.
     Register,
@@ -65,7 +64,7 @@ pub enum StatusKind {
 /// Fields are [`ByteStr`]s so a zero-copy decoder can slice them straight
 /// out of the packet buffer; they still print, compare, and deref like
 /// strings.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DeviceAttributes {
     /// Marketing model name.
     pub model: ByteStr,
@@ -91,7 +90,7 @@ impl Default for DeviceAttributes {
 
 /// A `Status` message: sent by the device (or forged by an attacker holding
 /// the device ID) to report liveness and telemetry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StatusPayload {
     /// How the sender authenticates as the device.
     pub auth: StatusAuth,
@@ -142,7 +141,7 @@ impl StatusPayload {
 
 /// A `Bind` message: creates a binding between a user and a device
 /// (Figure 4).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum BindPayload {
     /// ACL-based binding sent by the *app*: `Bind:(DevId, UserToken)`.
     AclApp {
@@ -184,7 +183,7 @@ impl BindPayload {
 }
 
 /// An `Unbind` message: revokes a binding (Section IV-C).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum UnbindPayload {
     /// Type 1: `Unbind:(DevId, UserToken)` — sender proves a user identity;
     /// a *correct* cloud additionally checks the user is the bound one.
@@ -214,7 +213,7 @@ impl UnbindPayload {
 }
 
 /// A remote-control action on a bound device.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ControlAction {
     /// Switch the load on.
     TurnOn,
@@ -249,7 +248,7 @@ impl ControlAction {
 /// paper §V-B). When telemetry from `trigger_dev` satisfies `trigger`, the
 /// cloud relays `action` to `action_dev` — which is why injected fake
 /// telemetry has a *cascade* effect.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AutomationRule {
     /// The sensor device whose telemetry is watched.
     pub trigger_dev: DevId,
@@ -263,7 +262,7 @@ pub struct AutomationRule {
 
 /// Every message a party can send toward the cloud (requests) — the
 /// counterpart is [`Response`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// User login: `(UserId, UserPw)` → `Response::LoginOk(UserToken)`.
     Login {
@@ -418,7 +417,7 @@ impl fmt::Display for Message {
 
 /// Why a request was denied. Mirrors the checks in `rb-cloud::policy`; the
 /// attack engine uses the reason to classify failures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DenyReason {
     /// Unknown user or wrong password.
     BadCredentials,
@@ -473,7 +472,7 @@ impl fmt::Display for DenyReason {
 }
 
 /// Cloud → party responses and pushes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// Login succeeded.
     LoginOk {

@@ -6,11 +6,10 @@
 //! and exfiltrating the open/close schedule of a smart lock. The frame types
 //! here give those attacks concrete payloads.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One telemetry sample produced by (or forged on behalf of) a device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TelemetryFrame {
     /// Instantaneous power draw of a plug/socket, in milliwatts.
     PowerMilliwatts(u64),
@@ -86,7 +85,7 @@ impl fmt::Display for TelemetryFrame {
 /// A trigger condition for an automation rule (IFTTT-style, paper §V-B:
 /// "it will have a cascade effect when data from the device is involved in
 /// rules").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuleTrigger {
     /// Temperature above a threshold (milli-°C).
     TemperatureAbove(i32),
@@ -135,7 +134,7 @@ impl fmt::Display for RuleTrigger {
 /// A user-configured schedule entry stored cloud-side — the private data the
 /// paper's A1 *stealing* variant exfiltrates ("the attacker is able to
 /// obtain the opening and closing time of the door").
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ScheduleEntry {
     /// Tick (simulation time) at which the action fires.
     pub at_tick: u64,

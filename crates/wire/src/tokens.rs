@@ -9,13 +9,12 @@
 //! deterministic.
 
 use crate::bytestr::ByteStr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! token_newtype {
     ($(#[$meta:meta])* $name:ident, $label:literal) => {
         $(#[$meta])*
-        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name([u8; 16]);
 
         impl $name {
@@ -96,7 +95,7 @@ token_newtype!(
 ///
 /// Backed by a [`ByteStr`], so a decoder holding the packet's [`bytes::Bytes`]
 /// buffer can build one without copying the identifier out.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UserId(ByteStr);
 
 impl UserId {
@@ -135,7 +134,7 @@ impl From<&str> for UserId {
 /// `UserPw`: the account password. Display/Debug are redacted; the paper's
 /// fourth lesson is that this credential "should never be delivered to the
 /// device", which device-initiated ACL binding violates.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct UserPw(ByteStr);
 
 impl UserPw {
