@@ -1,19 +1,14 @@
 //! The attacker's protocol client.
 
-use rb_netsim::Dest;
-use rb_scenario::World;
-use rb_wire::envelope::{CorrId, Envelope};
+use rb_scenario::{attacker_login, RawClient, World};
+use rb_wire::envelope::CorrId;
 use rb_wire::messages::{Message, Response};
-use rb_wire::tokens::{SessionToken, UserId, UserPw, UserToken};
+use rb_wire::tokens::{SessionToken, UserToken};
+
+pub use rb_scenario::{ATTACKER_ID, ATTACKER_PW};
 
 /// How long (ticks) to wait for a response after sending a request.
 const DEFAULT_WAIT: u64 = 2_000;
-
-/// The attacker's account credentials (provisioned by the world builder —
-/// attackers can always sign up for their own account).
-pub const ATTACKER_ID: &str = "attacker@evil.example";
-/// The attacker's password.
-pub const ATTACKER_PW: &str = "attacker-pw";
 
 /// A request/response client over the world's raw attacker endpoint.
 ///
@@ -40,7 +35,7 @@ pub const ATTACKER_PW: &str = "attacker-pw";
 /// ```
 #[derive(Debug, Default)]
 pub struct Adversary {
-    corr: u64,
+    client: RawClient,
     /// The attacker's own user token, once logged in.
     pub user_token: Option<UserToken>,
     /// Unsolicited pushes received so far (the stolen data channel).
@@ -60,14 +55,7 @@ impl Adversary {
     /// the matching response. Pushes received meanwhile are collected into
     /// [`Adversary::pushes`].
     pub fn request_wait(&mut self, world: &mut World, msg: Message, wait: u64) -> Option<Response> {
-        self.corr += 1;
-        let corr = CorrId(self.corr);
-        let cloud = world.cloud;
-        let codec = world.codec();
-        world.attacker_mut().queue(
-            Dest::Unicast(cloud),
-            Envelope::Request { corr, msg }.encode_with(codec).to_vec(),
-        );
+        let corr = self.fire(world, msg);
         world.run_for(wait);
         self.drain(world, Some(corr))
     }
@@ -80,37 +68,16 @@ impl Adversary {
     /// Sends a request without waiting for the reply (used by race
     /// attacks); replies are picked up by later drains.
     pub fn fire(&mut self, world: &mut World, msg: Message) -> CorrId {
-        self.corr += 1;
-        let corr = CorrId(self.corr);
-        let cloud = world.cloud;
-        let codec = world.codec();
-        world.attacker_mut().queue(
-            Dest::Unicast(cloud),
-            Envelope::Request { corr, msg }.encode_with(codec).to_vec(),
-        );
-        corr
+        self.client.send(world, msg)
     }
 
     /// Drains the attacker inbox; returns the response matching `want` if
     /// present, stashing pushes and other responses.
     pub fn drain(&mut self, world: &mut World, want: Option<CorrId>) -> Option<Response> {
-        let mut found = None;
-        let mut others = Vec::new();
-        let codec = world.codec();
-        for (_, bytes) in world.attacker_mut().take_inbox() {
-            let bytes = bytes::Bytes::from(bytes);
-            if let Ok(Envelope::Response { corr, rsp }) = Envelope::decode_with(codec, &bytes) {
-                if corr == CorrId(0) {
-                    self.pushes.push(rsp);
-                } else if Some(corr) == want && found.is_none() {
-                    found = Some(rsp);
-                } else {
-                    others.push((corr, rsp));
-                }
-            }
-        }
-        self.stashed.extend(others);
-        found
+        let replies = self.client.drain(world, want);
+        self.pushes.extend(replies.pushes);
+        self.stashed.extend(replies.others);
+        replies.reply
     }
 
     /// Responses that arrived for earlier `fire`s.
@@ -125,14 +92,7 @@ impl Adversary {
     /// Panics if the login fails — the world builder always provisions the
     /// attacker account, so a failure is a harness bug.
     pub fn login(&mut self, world: &mut World) -> UserToken {
-        let rsp = self.request(
-            world,
-            Message::Login {
-                user_id: UserId::new(ATTACKER_ID),
-                user_pw: UserPw::new(ATTACKER_PW),
-            },
-        );
-        match rsp {
+        match self.request(world, attacker_login()) {
             Some(Response::LoginOk { user_token }) => {
                 self.user_token = Some(user_token);
                 user_token

@@ -7,7 +7,7 @@ use rb_core::attacks::{AttackFamily, AttackId, Feasibility};
 use rb_core::design::VendorDesign;
 use rb_core::vendors;
 
-use crate::exec::{run_attack, run_attack_opts, AttackOpts, AttackRun};
+use crate::exec::{run_attack_opts, AttackOpts, AttackRun};
 
 /// The outcome of the nine-attack battery against one vendor design.
 #[derive(Debug, Clone)]
@@ -100,16 +100,7 @@ impl VendorCampaign {
 /// Runs the nine-attack battery against one design. Each attack gets a
 /// fresh world derived from `base_seed`.
 pub fn run_campaign(design: &VendorDesign, base_seed: u64) -> VendorCampaign {
-    let mut runs = BTreeMap::new();
-    for (i, id) in AttackId::ALL.into_iter().enumerate() {
-        let seed = base_seed.wrapping_mul(1_000_003).wrapping_add(i as u64);
-        runs.insert(id, run_attack(design, id, seed));
-    }
-    VendorCampaign {
-        design: design.clone(),
-        runs,
-        prediction: analyze(design),
-    }
+    run_campaign_opts(design, base_seed, &AttackOpts::default())
 }
 
 /// Like [`run_campaign`], with shared environment options applied to

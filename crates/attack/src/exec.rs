@@ -15,13 +15,12 @@ use rb_forensics::Capture;
 use rb_netsim::{FaultPlan, Telemetry};
 use rb_scenario::{World, WorldBuilder};
 use rb_wire::messages::{
-    BindPayload, ControlAction, DeviceAttributes, Message, Response, StatusAuth, StatusPayload,
-    UnbindPayload,
+    ControlAction, DeviceAttributes, Message, Response, StatusAuth, StatusPayload, UnbindPayload,
 };
 use rb_wire::telemetry::{ScheduleEntry, TelemetryFrame};
-use rb_wire::tokens::{UserId, UserPw};
+use rb_wire::tokens::UserId;
 
-use crate::adversary::{Adversary, ATTACKER_ID, ATTACKER_PW};
+use crate::adversary::{Adversary, ATTACKER_ID};
 
 /// The record of one executed (or refused) attack.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,31 +42,11 @@ pub struct AttackRun {
 }
 
 impl AttackRun {
-    fn feasible(id: AttackId, evidence: Vec<String>) -> Self {
+    fn new(id: AttackId, outcome: Feasibility, evidence: Vec<String>) -> Self {
         AttackRun {
             id,
-            outcome: Feasibility::Feasible,
+            outcome,
             evidence,
-            capture: None,
-            mitigations: 0,
-        }
-    }
-
-    fn blocked(id: AttackId, by: impl Into<String>, evidence: Vec<String>) -> Self {
-        AttackRun {
-            id,
-            outcome: Feasibility::blocked(by),
-            evidence,
-            capture: None,
-            mitigations: 0,
-        }
-    }
-
-    fn unconfirmable(id: AttackId, reason: impl Into<String>) -> Self {
-        AttackRun {
-            id,
-            outcome: Feasibility::unconfirmable(reason),
-            evidence: Vec::new(),
             capture: None,
             mitigations: 0,
         }
@@ -122,13 +101,12 @@ pub fn run_attack_opts(
     // a fully set-up home. Construction lives here — not in the
     // executors — so the forensic capture wraps the *whole* run.
     let paused = matches!(id, AttackId::A2 | AttackId::A4_2);
-    let mitigations_before = mitigation_total(&opts.telemetry);
+    let mitigations_before = opts.telemetry.counter_family(MITIGATIONS);
     let mut world = build_world(design, seed, opts, paused);
     let mut run = match id {
         AttackId::A1 => run_a1(design, &mut world),
         AttackId::A2 => run_a2(design, &mut world),
-        AttackId::A3_1 => run_a3_1(design, &mut world),
-        AttackId::A3_2 => run_a3_2(design, &mut world),
+        AttackId::A3_1 | AttackId::A3_2 => run_a3_unbind(id, &mut world),
         AttackId::A3_3 => run_a3_3(design, &mut world),
         AttackId::A3_4 => run_a3_4(design, &mut world),
         AttackId::A4_1 => run_a4_1(design, &mut world),
@@ -149,7 +127,10 @@ pub fn run_attack_opts(
     ));
     // Mitigation accounting: the shared registry counts every defensive
     // intervention; the delta over this run is this run's share.
-    run.mitigations = mitigation_total(&opts.telemetry).saturating_sub(mitigations_before);
+    run.mitigations = opts
+        .telemetry
+        .counter_family(MITIGATIONS)
+        .saturating_sub(mitigations_before);
     if run.mitigations > 0 {
         opts.telemetry
             .incr(&format!("attack_mitigated_total{{id=\"{id}\"}}"));
@@ -160,15 +141,8 @@ pub fn run_attack_opts(
     run
 }
 
-/// The running sum of `cloud_mitigations_total{action=…}` in a registry.
-fn mitigation_total(telemetry: &Telemetry) -> u64 {
-    telemetry
-        .snapshot()
-        .counters()
-        .filter(|(name, _)| name.starts_with("cloud_mitigations_total"))
-        .map(|(_, v)| v)
-        .sum()
-}
+/// The counter family `cloud_mitigations_total{action=…}`.
+const MITIGATIONS: &str = "cloud_mitigations_total";
 
 /// Builds the victim world with the run's environment options applied.
 fn build_world(design: &VendorDesign, seed: u64, opts: &AttackOpts, paused: bool) -> World {
@@ -196,12 +170,15 @@ fn status_forgery_gate(design: &VendorDesign, id: AttackId) -> Option<AttackRun>
         return None;
     }
     if design.status_forgery_unconfirmable() {
-        Some(AttackRun::unconfirmable(
+        Some(AttackRun::new(
             id,
-            "unable to confirm due to firmware challenges (device message format unknown)",
+            Feasibility::unconfirmable(
+                "unable to confirm due to firmware challenges (device message format unknown)",
+            ),
+            Vec::new(),
         ))
     } else {
-        Some(AttackRun::blocked(
+        Some(blocked(
             id,
             format!("{} device authentication is unforgeable", design.auth),
             Vec::new(),
@@ -209,34 +186,81 @@ fn status_forgery_gate(design: &VendorDesign, id: AttackId) -> Option<AttackRun>
     }
 }
 
+/// A run the victim's design (or cloud) blocked for reason `by`.
+fn blocked(id: AttackId, by: impl Into<String>, evidence: Vec<String>) -> AttackRun {
+    AttackRun::new(id, Feasibility::blocked(by), evidence)
+}
+
 /// Builds the bind forgery for this design, or explains why none exists.
+/// A device-sent bind needs the firmware's message format.
 fn forged_bind(
     design: &VendorDesign,
     world: &World,
     adv: &Adversary,
 ) -> Result<Message, Feasibility> {
-    let dev_id = world.homes[0].dev_id.clone();
-    match design.bind {
-        BindScheme::AclApp => {
-            let Some(user_token) = adv.user_token else {
-                unreachable!("the adversary logs in before forging binds")
-            };
-            Ok(Message::Bind(BindPayload::AclApp { dev_id, user_token }))
+    if design.bind == BindScheme::AclDevice && design.firmware == FirmwareKnowledge::Opaque {
+        return Err(Feasibility::unconfirmable(
+            "device-sent bind format unknown without firmware",
+        ));
+    }
+    let Some(user_token) = adv.user_token else {
+        unreachable!("the adversary logs in before forging binds")
+    };
+    rb_scenario::forged_bind(design, &world.homes[0].dev_id, user_token)
+        .map(Message::Bind)
+        .ok_or_else(|| {
+            Feasibility::blocked(
+                "capability-based binding: the BindToken never leaves the victim's LAN",
+            )
+        })
+}
+
+/// The evidence wording of one forged-bind step: the line logged on
+/// `Bound`, and the prefixes of the block reasons on a denial
+/// (`"{denied} denied: {reason}"`) or any other answer
+/// (`"{other} {answer:?}"`).
+struct BindStep {
+    accepted: &'static str,
+    denied: &'static str,
+    other: &'static str,
+}
+
+/// The replacing bind of A3-3 and A4-1.
+const REPLACING_BIND: BindStep = BindStep {
+    accepted: "attacker's replacing bind accepted",
+    denied: "replacing bind",
+    other: "no bind response:",
+};
+
+/// Forges the design's bind and sends it. On `Bound` the stolen session
+/// is kept for the control check; otherwise the finished run comes back
+/// as the error — the forgery's infeasibility, or the cloud's refusal.
+fn bind_step(
+    id: AttackId,
+    design: &VendorDesign,
+    world: &mut World,
+    adv: &mut Adversary,
+    evidence: &mut Vec<String>,
+    step: &BindStep,
+) -> Result<(), AttackRun> {
+    let bind = forged_bind(design, world, adv)
+        .map_err(|f| AttackRun::new(id, f, std::mem::take(evidence)))?;
+    world.telemetry().incr("attack_forged_binds_total");
+    match adv.request(world, bind) {
+        Some(Response::Bound { session }) => {
+            adv.hijack_session = session;
+            evidence.push(step.accepted.into());
+            Ok(())
         }
-        BindScheme::AclDevice => {
-            if design.firmware == FirmwareKnowledge::Opaque {
-                return Err(Feasibility::unconfirmable(
-                    "device-sent bind format unknown without firmware",
-                ));
-            }
-            Ok(Message::Bind(BindPayload::AclDevice {
-                dev_id,
-                user_id: UserId::new(ATTACKER_ID),
-                user_pw: UserPw::new(ATTACKER_PW),
-            }))
-        }
-        BindScheme::Capability => Err(Feasibility::blocked(
-            "capability-based binding: the BindToken never leaves the victim's LAN",
+        Some(Response::Denied { reason }) => Err(blocked(
+            id,
+            format!("{} denied: {reason}", step.denied),
+            std::mem::take(evidence),
+        )),
+        other => Err(blocked(
+            id,
+            format!("{} {other:?}", step.other),
+            std::mem::take(evidence),
         )),
     }
 }
@@ -353,20 +377,18 @@ fn run_a1(design: &VendorDesign, world: &mut World) -> AttackRun {
             evidence.push("forged registration accepted".into());
         }
         Some(Response::Denied { reason }) => {
-            return AttackRun::blocked(
+            return blocked(
                 ID,
                 format!("forged registration denied: {reason}"),
                 evidence,
             );
         }
-        other => {
-            return AttackRun::blocked(ID, format!("no registration response: {other:?}"), evidence)
-        }
+        other => return blocked(ID, format!("no registration response: {other:?}"), evidence),
     }
     // If the registration nuked the binding, there is no user left to
     // deceive (TP-LINK: the forgery lands as A3-4 instead).
     if world.cloud().bound_user(&world.homes[0].dev_id) != Some(world.homes[0].user_id.clone()) {
-        return AttackRun::blocked(
+        return blocked(
             ID,
             "registration reset the binding; no bound user left to deceive (see A3-4)",
             evidence,
@@ -406,9 +428,9 @@ fn run_a1(design: &VendorDesign, world: &mut World) -> AttackRun {
 
     evidence.push(alert_summary(world));
     if injected && stolen {
-        AttackRun::feasible(ID, evidence)
+        AttackRun::new(ID, Feasibility::Feasible, evidence)
     } else {
-        AttackRun::blocked(
+        blocked(
             ID,
             "forged session did not carry user data both ways",
             evidence,
@@ -428,28 +450,13 @@ fn run_a2(design: &VendorDesign, world: &mut World) -> AttackRun {
     adv.login(world);
     let mut evidence = Vec::new();
 
-    let bind = match forged_bind(design, world, &adv) {
-        Ok(m) => m,
-        Err(f) => {
-            return AttackRun {
-                id: ID,
-                outcome: f,
-                evidence,
-                capture: None,
-                mitigations: 0,
-            }
-        }
+    let step = BindStep {
+        accepted: "attacker's pre-emptive binding accepted",
+        denied: "pre-emptive bind",
+        other: "no bind response:",
     };
-    world.telemetry().incr("attack_forged_binds_total");
-    match adv.request(world, bind) {
-        Some(Response::Bound { session }) => {
-            adv.hijack_session = session;
-            evidence.push("attacker's pre-emptive binding accepted".into());
-        }
-        Some(Response::Denied { reason }) => {
-            return AttackRun::blocked(ID, format!("pre-emptive bind denied: {reason}"), evidence);
-        }
-        other => return AttackRun::blocked(ID, format!("no bind response: {other:?}"), evidence),
+    if let Err(run) = bind_step(ID, design, world, &mut adv, &mut evidence, &step) {
+        return run;
     }
 
     // Now the victim unboxes the device and tries to set it up.
@@ -461,9 +468,9 @@ fn run_a2(design: &VendorDesign, world: &mut World) -> AttackRun {
     ));
     evidence.push(alert_summary(world));
     if !converged && holder == Some(UserId::new(ATTACKER_ID)) {
-        AttackRun::feasible(ID, evidence)
+        AttackRun::new(ID, Feasibility::Feasible, evidence)
     } else {
-        AttackRun::blocked(
+        blocked(
             ID,
             "the victim completed binding anyway (replacement semantics or re-bind)",
             evidence,
@@ -475,69 +482,39 @@ fn run_a2(design: &VendorDesign, world: &mut World) -> AttackRun {
 // A3-1 / A3-2: device unbinding by forged unbind messages.
 // ---------------------------------------------------------------------------
 
-fn run_a3_1(_design: &VendorDesign, world: &mut World) -> AttackRun {
-    const ID: AttackId = AttackId::A3_1;
+/// A3-1 sends the bare `Unbind:DevId`; A3-2 the attacker's own token.
+fn run_a3_unbind(id: AttackId, world: &mut World) -> AttackRun {
     world.run_setup();
     let mut adv = Adversary::new();
     let mut evidence = Vec::new();
     let dev_id = world.homes[0].dev_id.clone();
-    world.telemetry().incr("attack_forged_unbinds_total");
-    match adv.request(
-        world,
-        Message::Unbind(UnbindPayload::DevIdOnly {
+    let (payload, accepted) = if id == AttackId::A3_1 {
+        let payload = UnbindPayload::DevIdOnly {
             dev_id: dev_id.clone(),
-        }),
-    ) {
-        Some(Response::Unbound) => {
-            let unbound = world.cloud().bound_user(&dev_id).is_none();
-            evidence.push(format!(
-                "cloud accepted Unbind:DevId; binding revoked: {unbound}"
-            ));
-            evidence.push(alert_summary(world));
-            if unbound {
-                AttackRun::feasible(ID, evidence)
-            } else {
-                AttackRun::blocked(ID, "binding survived", evidence)
-            }
-        }
-        Some(Response::Denied { reason }) => {
-            AttackRun::blocked(ID, format!("denied: {reason}"), evidence)
-        }
-        other => AttackRun::blocked(ID, format!("no response: {other:?}"), evidence),
-    }
-}
-
-fn run_a3_2(_design: &VendorDesign, world: &mut World) -> AttackRun {
-    const ID: AttackId = AttackId::A3_2;
-    world.run_setup();
-    let mut adv = Adversary::new();
-    let user_token = adv.login(world);
-    let mut evidence = Vec::new();
-    let dev_id = world.homes[0].dev_id.clone();
-    world.telemetry().incr("attack_forged_unbinds_total");
-    match adv.request(
-        world,
-        Message::Unbind(UnbindPayload::DevIdUserToken {
+        };
+        (payload, "cloud accepted Unbind:DevId")
+    } else {
+        let user_token = adv.login(world);
+        let payload = UnbindPayload::DevIdUserToken {
             dev_id: dev_id.clone(),
             user_token,
-        }),
-    ) {
+        };
+        (payload, "cloud accepted the attacker's token on unbind")
+    };
+    world.telemetry().incr("attack_forged_unbinds_total");
+    match adv.request(world, Message::Unbind(payload)) {
         Some(Response::Unbound) => {
             let unbound = world.cloud().bound_user(&dev_id).is_none();
-            evidence.push(format!(
-                "cloud accepted the attacker's token on unbind; binding revoked: {unbound}"
-            ));
+            evidence.push(format!("{accepted}; binding revoked: {unbound}"));
             evidence.push(alert_summary(world));
             if unbound {
-                AttackRun::feasible(ID, evidence)
+                AttackRun::new(id, Feasibility::Feasible, evidence)
             } else {
-                AttackRun::blocked(ID, "binding survived", evidence)
+                blocked(id, "binding survived", evidence)
             }
         }
-        Some(Response::Denied { reason }) => {
-            AttackRun::blocked(ID, format!("denied: {reason}"), evidence)
-        }
-        other => AttackRun::blocked(ID, format!("no response: {other:?}"), evidence),
+        Some(Response::Denied { reason }) => blocked(id, format!("denied: {reason}"), evidence),
+        other => blocked(id, format!("no response: {other:?}"), evidence),
     }
 }
 
@@ -552,28 +529,8 @@ fn run_a3_3(design: &VendorDesign, world: &mut World) -> AttackRun {
     adv.login(world);
     let mut evidence = Vec::new();
 
-    let bind = match forged_bind(design, world, &adv) {
-        Ok(m) => m,
-        Err(f) => {
-            return AttackRun {
-                id: ID,
-                outcome: f,
-                evidence,
-                capture: None,
-                mitigations: 0,
-            }
-        }
-    };
-    world.telemetry().incr("attack_forged_binds_total");
-    match adv.request(world, bind) {
-        Some(Response::Bound { session }) => {
-            adv.hijack_session = session;
-            evidence.push("attacker's replacing bind accepted".into());
-        }
-        Some(Response::Denied { reason }) => {
-            return AttackRun::blocked(ID, format!("replacing bind denied: {reason}"), evidence);
-        }
-        other => return AttackRun::blocked(ID, format!("no bind response: {other:?}"), evidence),
+    if let Err(run) = bind_step(ID, design, world, &mut adv, &mut evidence, &REPLACING_BIND) {
+        return run;
     }
     world.run_for(5_000);
     let victim_disconnected = !world.app(0).is_bound();
@@ -581,19 +538,19 @@ fn run_a3_3(design: &VendorDesign, world: &mut World) -> AttackRun {
         "victim app lost its binding: {victim_disconnected}"
     ));
     if !victim_disconnected {
-        return AttackRun::blocked(ID, "victim binding survived", evidence);
+        return blocked(ID, "victim binding survived", evidence);
     }
     // If the replacement also yields *confirmed* control, the stronger
     // A4-1 classification applies and this run does not count as A3-3.
     let works = control_check(world, &mut adv, &mut evidence);
     if works && design.auth != DeviceAuthScheme::Opaque {
-        AttackRun::blocked(
+        blocked(
             ID,
             "subsumed by A4-1: the replacement yields control",
             evidence,
         )
     } else {
-        AttackRun::feasible(ID, evidence)
+        AttackRun::new(ID, Feasibility::Feasible, evidence)
     }
 }
 
@@ -616,22 +573,22 @@ fn run_a3_4(design: &VendorDesign, world: &mut World) -> AttackRun {
             evidence.push("forged registration accepted".into());
         }
         Some(Response::Denied { reason }) => {
-            return AttackRun::blocked(
+            return blocked(
                 ID,
                 format!("forged registration denied: {reason}"),
                 evidence,
             );
         }
-        other => return AttackRun::blocked(ID, format!("no response: {other:?}"), evidence),
+        other => return blocked(ID, format!("no response: {other:?}"), evidence),
     }
     world.run_for(2_000);
     let unbound = world.cloud().bound_user(&world.homes[0].dev_id).is_none();
     evidence.push(format!("binding revoked by the registration: {unbound}"));
     evidence.push(alert_summary(world));
     if unbound {
-        AttackRun::feasible(ID, evidence)
+        AttackRun::new(ID, Feasibility::Feasible, evidence)
     } else {
-        AttackRun::blocked(
+        blocked(
             ID,
             "a fresh registration does not reset the binding",
             evidence,
@@ -650,38 +607,12 @@ fn run_a4_1(design: &VendorDesign, world: &mut World) -> AttackRun {
     adv.login(world);
     let mut evidence = Vec::new();
 
-    let bind = match forged_bind(design, world, &adv) {
-        Ok(m) => m,
-        Err(f) => {
-            return AttackRun {
-                id: ID,
-                outcome: f,
-                evidence,
-                capture: None,
-                mitigations: 0,
-            }
-        }
-    };
-    world.telemetry().incr("attack_forged_binds_total");
-    match adv.request(world, bind) {
-        Some(Response::Bound { session }) => {
-            adv.hijack_session = session;
-            evidence.push("attacker's replacing bind accepted".into());
-        }
-        Some(Response::Denied { reason }) => {
-            return AttackRun::blocked(ID, format!("replacing bind denied: {reason}"), evidence);
-        }
-        other => return AttackRun::blocked(ID, format!("no bind response: {other:?}"), evidence),
+    if let Err(run) = bind_step(ID, design, world, &mut adv, &mut evidence, &REPLACING_BIND) {
+        return run;
     }
     let works = control_check(world, &mut adv, &mut evidence);
     let outcome = control_feasibility(design, works, "binding replaced but control is not relayed");
-    AttackRun {
-        id: ID,
-        outcome,
-        evidence,
-        capture: None,
-        mitigations: 0,
-    }
+    AttackRun::new(ID, outcome, evidence)
 }
 
 // ---------------------------------------------------------------------------
@@ -697,13 +628,7 @@ fn run_a4_2(design: &VendorDesign, world: &mut World) -> AttackRun {
 
     // Can the attacker even construct a bind?
     if let Err(f) = forged_bind(design, world, &adv) {
-        return AttackRun {
-            id: ID,
-            outcome: f,
-            evidence,
-            capture: None,
-            mitigations: 0,
-        };
+        return AttackRun::new(ID, f, evidence);
     }
 
     // The victim starts setting up; the attacker fires binds blindly at a
@@ -732,7 +657,7 @@ fn run_a4_2(design: &VendorDesign, world: &mut World) -> AttackRun {
     }
     if !occupied {
         evidence.push("never landed inside the online-unbound window".into());
-        return AttackRun::blocked(ID, "setup window unexploitable", evidence);
+        return blocked(ID, "setup window unexploitable", evidence);
     }
     evidence.push("bound inside the setup window".into());
     // Let the victim finish flailing; with sticky semantics their binds are
@@ -741,17 +666,11 @@ fn run_a4_2(design: &VendorDesign, world: &mut World) -> AttackRun {
     let holder = world.cloud().bound_user(&world.homes[0].dev_id);
     evidence.push(format!("final binding holder: {holder:?}"));
     if holder != Some(UserId::new(ATTACKER_ID)) {
-        return AttackRun::blocked(ID, "the victim displaced the attacker's binding", evidence);
+        return blocked(ID, "the victim displaced the attacker's binding", evidence);
     }
     let works = control_check(world, &mut adv, &mut evidence);
     let outcome = control_feasibility(design, works, "window won but control is not relayed");
-    AttackRun {
-        id: ID,
-        outcome,
-        evidence,
-        capture: None,
-        mitigations: 0,
-    }
+    AttackRun::new(ID, outcome, evidence)
 }
 
 fn latest_bind_response(adv: &mut Adversary, world: &mut World) -> Option<Response> {
@@ -776,48 +695,24 @@ fn run_a4_3(design: &VendorDesign, world: &mut World) -> AttackRun {
     let dev_id = world.homes[0].dev_id.clone();
 
     // Step 1: revoke the victim's binding.
-    let unbind = if design.unbind.dev_id_only {
-        Message::Unbind(UnbindPayload::DevIdOnly {
-            dev_id: dev_id.clone(),
-        })
-    } else {
-        Message::Unbind(UnbindPayload::DevIdUserToken {
-            dev_id: dev_id.clone(),
-            user_token,
-        })
-    };
+    let unbind = rb_scenario::forged_unbind(design, &dev_id, user_token);
     world.telemetry().incr("attack_forged_unbinds_total");
-    match adv.request(world, unbind) {
+    match adv.request(world, Message::Unbind(unbind)) {
         Some(Response::Unbound) => evidence.push("step 1: victim unbound".into()),
         Some(Response::Denied { reason }) => {
-            return AttackRun::blocked(ID, format!("step 1 (unbind) denied: {reason}"), evidence);
+            return blocked(ID, format!("step 1 (unbind) denied: {reason}"), evidence);
         }
-        other => return AttackRun::blocked(ID, format!("step 1 got {other:?}"), evidence),
+        other => return blocked(ID, format!("step 1 got {other:?}"), evidence),
     }
 
     // Step 2: bind the now-unbound device to the attacker.
-    let bind = match forged_bind(design, world, &adv) {
-        Ok(m) => m,
-        Err(f) => {
-            return AttackRun {
-                id: ID,
-                outcome: f,
-                evidence,
-                capture: None,
-                mitigations: 0,
-            }
-        }
+    let step = BindStep {
+        accepted: "step 2: attacker bound",
+        denied: "step 2 (bind)",
+        other: "step 2 got",
     };
-    world.telemetry().incr("attack_forged_binds_total");
-    match adv.request(world, bind) {
-        Some(Response::Bound { session }) => {
-            adv.hijack_session = session;
-            evidence.push("step 2: attacker bound".into());
-        }
-        Some(Response::Denied { reason }) => {
-            return AttackRun::blocked(ID, format!("step 2 (bind) denied: {reason}"), evidence);
-        }
-        other => return AttackRun::blocked(ID, format!("step 2 got {other:?}"), evidence),
+    if let Err(run) = bind_step(ID, design, world, &mut adv, &mut evidence, &step) {
+        return run;
     }
 
     // Step 3: absolute control.
@@ -827,11 +722,5 @@ fn run_a4_3(design: &VendorDesign, world: &mut World) -> AttackRun {
         works,
         "bound but control is not relayed to the device",
     );
-    AttackRun {
-        id: ID,
-        outcome,
-        evidence,
-        capture: None,
-        mitigations: 0,
-    }
+    AttackRun::new(ID, outcome, evidence)
 }

@@ -36,24 +36,14 @@ use rb_bench::report::{emit, BenchReport};
 use rb_cloud::DefensePolicy;
 use rb_core::attacks::{AttackId, Feasibility};
 use rb_core::vendors::{self, vendor_designs};
-use rb_netsim::{Telemetry, TraceEvent};
-use rb_scenario::{defended_metrics_run, monitor_run, ChaosProfile};
+use rb_netsim::TraceEvent;
+use rb_scenario::{monitor_run, run_lifecycle, ChaosProfile, WorldBuilder};
 
 /// The one seed of the attack grid (worlds are deterministic in it).
 const SEED: u64 = 0xDEF_2019;
 
 /// Seeds of the benign chaos matrix.
 const BENIGN_SEEDS: u64 = 16;
-
-/// Sum of one counter family across a registry.
-fn family_total(telemetry: &Telemetry, prefix: &str) -> u64 {
-    telemetry
-        .snapshot()
-        .counters()
-        .filter(|(name, _)| name.starts_with(prefix))
-        .map(|(_, v)| v)
-        .sum()
-}
 
 /// One defended rerun of a feasible Table III cell.
 struct CellRun {
@@ -75,11 +65,13 @@ fn benign_matrix(designs: &[rb_core::design::VendorDesign]) -> (u64, u64, u64) {
     for design in designs {
         for seed in 0..BENIGN_SEEDS {
             for profile in ChaosProfile::ALL.into_iter().map(Some).chain([None]) {
-                let telemetry =
-                    defended_metrics_run(design, seed, profile, DefensePolicy::hardened());
+                let mut world = WorldBuilder::new(design.clone(), seed)
+                    .defense(DefensePolicy::hardened())
+                    .build();
+                run_lifecycle(&mut world, profile);
                 runs += 1;
-                alerts += family_total(&telemetry, "cloud_alerts_total");
-                mitigations += family_total(&telemetry, "cloud_mitigations_total");
+                alerts += world.telemetry().counter_family("cloud_alerts_total");
+                mitigations += world.telemetry().counter_family("cloud_mitigations_total");
             }
         }
     }
@@ -116,7 +108,7 @@ fn defended_grid(designs: &[rb_core::design::VendorDesign]) -> (Vec<CellRun>, f6
             cells.push(CellRun {
                 vendor: design.vendor.clone(),
                 id,
-                alerts: family_total(&opts.telemetry, "cloud_alerts_total"),
+                alerts: opts.telemetry.counter_family("cloud_alerts_total"),
                 mitigations: run.mitigations,
                 window_reduction,
             });

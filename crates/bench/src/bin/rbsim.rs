@@ -401,17 +401,10 @@ fn cmd_monitor(design: &VendorDesign, seed: u64, json: bool) {
         println!("  {line}");
     }
     println!("\n{}", run.state);
-    let snap = run.telemetry.snapshot();
-    let total = |prefix: &str| -> u64 {
-        snap.counters()
-            .filter(|(name, _)| name.starts_with(prefix))
-            .map(|(_, v)| v)
-            .sum()
-    };
     println!(
         "\n{} alert(s), {} intervention(s); full metrics: `rbsim metrics {} --prom`",
-        total("cloud_alerts_total"),
-        total("cloud_mitigations_total"),
+        run.telemetry.counter_family("cloud_alerts_total"),
+        run.telemetry.counter_family("cloud_mitigations_total"),
         design.vendor.to_lowercase().replace(' ', "-"),
     );
 }

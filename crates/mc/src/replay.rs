@@ -35,15 +35,13 @@
 
 use crate::explore::Property;
 use crate::model::{self, McAct, PState};
-use rb_attack::adversary::{ATTACKER_ID, ATTACKER_PW};
 use rb_attack::Adversary;
 use rb_core::design::{BindScheme, DeviceAuthScheme, VendorDesign};
 use rb_core::spec::{DeviceSrc, Party};
-use rb_netsim::{Dest, NodeId};
+use rb_netsim::Dest;
 use rb_provision::localctl::LocalCtl;
 use rb_provision::WifiCredentials;
-use rb_scenario::{RawEndpoint, World, WorldBuilder};
-use rb_wire::envelope::{CorrId, Envelope};
+use rb_scenario::{forged_bind, RawClient, World, WorldBuilder, ATTACKER_ID};
 use rb_wire::ids::DevId;
 use rb_wire::messages::{
     BindPayload, ControlAction, DeviceAttributes, Message, Response, StatusAuth, StatusPayload,
@@ -55,52 +53,14 @@ use rb_wire::tokens::{BindToken, DevToken, UserId, UserPw, UserToken};
 /// default; the per-act waits below are sized against it).
 const HEARTBEAT: u64 = 2_000;
 
+/// Ticks the resident's console waits for each reply.
+const CONSOLE_WAIT: u64 = 2_000;
+
 /// Ticks to wait after a denied device-channel bind: the firmware retries
 /// with exponential backoff (16 tries capped at 800 ticks), and the model
 /// treats the denial as final, so no retry may remain pending when a
 /// later act clears the binding.
 const BIND_RETRY_DRAIN: u64 = 15_000;
-
-/// The victim's request/response client: a raw endpoint on the home LAN
-/// behind the home NAT, driven synchronously between simulation runs.
-struct Console {
-    node: NodeId,
-    corr: u64,
-}
-
-impl Console {
-    fn endpoint<'w>(&self, world: &'w mut World) -> &'w mut RawEndpoint {
-        world
-            .sim
-            .actor_mut::<RawEndpoint>(self.node)
-            .unwrap_or_else(|| unreachable!("the console node is always a RawEndpoint"))
-    }
-
-    /// Sends `msg` to the cloud and waits for the matching response.
-    fn request(&mut self, world: &mut World, msg: Message, what: &str) -> Result<Response, String> {
-        self.corr += 1;
-        let corr = CorrId(self.corr);
-        let cloud = world.cloud;
-        self.endpoint(world).queue(
-            Dest::Unicast(cloud),
-            Envelope::Request { corr, msg }.encode().to_vec(),
-        );
-        world.run_for(2_000);
-        for (_, bytes) in self.endpoint(world).take_inbox() {
-            if let Ok(Envelope::Response { corr: c, rsp }) = Envelope::decode(&bytes) {
-                if c == corr {
-                    return Ok(rsp);
-                }
-            }
-        }
-        Err(format!("no response to the console's {what}"))
-    }
-
-    /// Queues a LAN frame to `to` (delivered on the next run).
-    fn send_lan(&mut self, world: &mut World, to: NodeId, payload: Vec<u8>) {
-        self.endpoint(world).queue(Dest::Unicast(to), payload);
-    }
-}
 
 /// A forged device registration — all the attacker can construct on
 /// ID-authenticated designs.
@@ -126,7 +86,9 @@ fn forged_register(dev_id: &DevId) -> Message {
 pub struct LiveSession {
     design: VendorDesign,
     world: World,
-    console: Console,
+    /// The victim's client: a raw endpoint on the home LAN behind the
+    /// home NAT, driven synchronously between simulation runs.
+    console: RawClient,
     adversary: Adversary,
     dev_id: DevId,
     victim_id: UserId,
@@ -154,9 +116,8 @@ impl LiveSession {
         let mut world = WorldBuilder::new(design.clone(), 0x5EED_0001)
             .victim_paused()
             .build();
-        let node = world.add_home_console(0);
+        let mut console = RawClient::at(world.add_home_console(0));
         world.run_for(10);
-        let mut console = Console { node, corr: 0 };
         let dev_id = world.homes[0].dev_id.clone();
         let victim_id = world.homes[0].user_id.clone();
         let victim_pw = world.homes[0].user_pw.clone();
@@ -164,8 +125,8 @@ impl LiveSession {
             user_id: victim_id.clone(),
             user_pw: victim_pw.clone(),
         };
-        let victim_token = match console.request(&mut world, login, "login")? {
-            Response::LoginOk { user_token } => user_token,
+        let victim_token = match console.request(&mut world, login, CONSOLE_WAIT).reply {
+            Some(Response::LoginOk { user_token }) => user_token,
             other => return Err(format!("victim login answered {other:?}")),
         };
         let mut adversary = Adversary::new();
@@ -182,6 +143,14 @@ impl LiveSession {
             victim_dev_token: None,
             device_powered: false,
         })
+    }
+
+    /// Sends `msg` from the resident's console and waits for the reply.
+    fn console_request(&mut self, msg: Message, what: &str) -> Result<Response, String> {
+        self.console
+            .request(&mut self.world, msg, CONSOLE_WAIT)
+            .reply
+            .ok_or_else(|| format!("no response to the console's {what}"))
     }
 
     fn set_device_power(&mut self, on: bool) {
@@ -207,10 +176,7 @@ impl LiveSession {
         let msg = Message::RequestDevToken {
             user_token: self.victim_token,
         };
-        match self
-            .console
-            .request(&mut self.world, msg, "device-token request")?
-        {
+        match self.console_request(msg, "device-token request")? {
             Response::DevTokenIssued { dev_token } => {
                 self.victim_dev_token = Some(dev_token);
                 Ok(dev_token)
@@ -225,10 +191,7 @@ impl LiveSession {
         let msg = Message::RequestBindToken {
             user_token: self.victim_token,
         };
-        match self
-            .console
-            .request(&mut self.world, msg, "bind-token request")?
-        {
+        match self.console_request(msg, "bind-token request")? {
             Response::BindTokenIssued { bind_token } => Ok(bind_token),
             other => Err(format!("bind-token request answered {other:?}")),
         }
@@ -320,7 +283,7 @@ impl LiveSession {
             dev_id: self.dev_id.clone(),
             user_token: self.victim_token,
         });
-        match self.console.request(&mut self.world, msg, "app bind")? {
+        match self.console_request(msg, "app bind")? {
             Response::Bound { session } => {
                 if let Some(session) = session {
                     if pre.src.includes_real() {
@@ -332,7 +295,8 @@ impl LiveSession {
                             token: *session.as_bytes(),
                         };
                         self.console
-                            .send_lan(&mut self.world, device, assign.encode());
+                            .endpoint(&mut self.world)
+                            .queue(Dest::Unicast(device), assign.encode());
                         self.world.run_for(50);
                     }
                 }
@@ -358,10 +322,7 @@ impl LiveSession {
                 dev_id: self.dev_id.clone(),
             }
         };
-        match self
-            .console
-            .request(&mut self.world, Message::Unbind(payload), "honest unbind")?
-        {
+        match self.console_request(Message::Unbind(payload), "honest unbind")? {
             Response::Unbound => Ok(()),
             other => Err(format!("honest unbind answered {other:?}")),
         }
@@ -391,23 +352,10 @@ impl LiveSession {
             .adversary
             .user_token
             .ok_or_else(|| "attacker not logged in".to_owned())?;
-        let msg =
-            match self.design.bind {
-                BindScheme::AclApp => Message::Bind(BindPayload::AclApp {
-                    dev_id: self.dev_id.clone(),
-                    user_token: atk_token,
-                }),
-                BindScheme::AclDevice => Message::Bind(BindPayload::AclDevice {
-                    dev_id: self.dev_id.clone(),
-                    user_id: UserId::new(ATTACKER_ID),
-                    user_pw: UserPw::new(ATTACKER_PW),
-                }),
-                BindScheme::Capability => return Err(
-                    "capability binds are not forgeable; the checker should never emit this act"
-                        .into(),
-                ),
-            };
-        match self.adversary.request(&mut self.world, msg) {
+        let bind = forged_bind(&self.design, &self.dev_id, atk_token).ok_or_else(|| {
+            "capability binds are not forgeable; the checker should never emit this act".to_owned()
+        })?;
+        match self.adversary.request(&mut self.world, Message::Bind(bind)) {
             Some(Response::Bound { session }) => {
                 self.adversary.hijack_session = session;
                 Ok(())
@@ -601,10 +549,7 @@ impl LiveSession {
                 dev_id: self.dev_id.clone(),
                 user_token: self.victim_token,
             });
-            match self
-                .console
-                .request(&mut self.world, msg, "recovery unbind")?
-            {
+            match self.console_request(msg, "recovery unbind")? {
                 Response::Denied { .. } => {}
                 other => {
                     return Err(format!(
@@ -621,10 +566,7 @@ impl LiveSession {
                 dev_id: self.dev_id.clone(),
                 user_token: self.victim_token,
             });
-            match self
-                .console
-                .request(&mut self.world, msg, "recovery bind")?
-            {
+            match self.console_request(msg, "recovery bind")? {
                 Response::Denied { .. } => {}
                 other => {
                     return Err(format!(

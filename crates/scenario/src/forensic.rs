@@ -2,20 +2,15 @@
 //! `rb-forensics`.
 //!
 //! [`capture`] freezes a traced world into a [`Capture`] (trace + role
-//! map); [`trace_run`] drives the canonical benign binding life cycle —
-//! the same phases as [`crate::metrics_run`] — with tracing and cloud
-//! forensic marks enabled, producing the benign ground-truth capture the
-//! classifier must stay silent on.
+//! map); [`trace_run`] drives the canonical benign binding life cycle
+//! ([`crate::run_lifecycle`]) with tracing and cloud forensic marks
+//! enabled, producing the benign ground-truth capture the classifier must
+//! stay silent on.
 
 use rb_core::design::VendorDesign;
 use rb_forensics::{Capture, HomeRoles, RoleMap};
-use rb_wire::messages::ControlAction;
 
-use crate::{ChaosProfile, World, WorldBuilder};
-
-/// How long each post-setup phase of the canonical traced scenario runs
-/// (matches `metrics_run`).
-const PHASE_TICKS: u64 = 10_000;
+use crate::{run_lifecycle, ChaosProfile, World, WorldBuilder};
 
 /// Snapshots the world's trace and role assignments as a [`Capture`].
 /// The world must have been built with [`WorldBuilder::trace`], or the
@@ -50,43 +45,10 @@ pub fn capture(world: &World) -> Capture {
     }
 }
 
-/// Runs the canonical benign binding life cycle — setup, one control
-/// round-trip, an unbind, a reset-and-re-pair, a quiesce period — with
-/// causal tracing on, and returns the capture. Pure function of
-/// `(design, seed, profile)`.
+/// Runs the canonical benign binding life cycle with causal tracing on
+/// and returns the capture. Pure function of `(design, seed, profile)`.
 pub fn trace_run(design: &VendorDesign, seed: u64, profile: Option<ChaosProfile>) -> Capture {
-    trace_run_with_codec(design, seed, profile, rb_wire::codec::CodecKind::default())
-}
-
-/// Like [`trace_run`], with the world speaking an explicit wire codec.
-/// The resulting traces differ from the classic ones only in their
-/// `bytes` payload-size annotations — the event sequence, timing, and
-/// causal structure are codec-invariant.
-pub fn trace_run_with_codec(
-    design: &VendorDesign,
-    seed: u64,
-    profile: Option<ChaosProfile>,
-    codec: rb_wire::codec::CodecKind,
-) -> Capture {
-    let mut world = WorldBuilder::new(design.clone(), seed)
-        .trace()
-        .with_codec(codec)
-        .build();
-    if let Some(profile) = profile {
-        let plan = profile.plan(&world, seed);
-        world.apply_fault_plan(&plan);
-    }
-    let converged = world.try_run_setup(300_000);
-    if converged {
-        world.app_mut(0).queue_control(ControlAction::TurnOn);
-        world.run_for(PHASE_TICKS);
-        world.app_mut(0).queue_unbind();
-        world.run_for(PHASE_TICKS);
-        world.device_mut(0).queue_reset();
-        world.run_for(PHASE_TICKS);
-        world.app_mut(0).restart_setup();
-        world.try_run_setup(300_000);
-    }
-    world.run_for(PHASE_TICKS);
+    let mut world = WorldBuilder::new(design.clone(), seed).trace().build();
+    run_lifecycle(&mut world, profile);
     capture(&world)
 }

@@ -17,17 +17,16 @@
 
 mod chaos;
 mod forensic;
+mod forge;
 mod observe;
 mod prof;
 mod raw;
 mod world;
 
 pub use chaos::ChaosProfile;
-pub use forensic::{capture, trace_run, trace_run_with_codec};
-pub use observe::{
-    defended_metrics_run, metrics_run, metrics_run_with, metrics_run_with_codec, monitor_run,
-    MonitorRun,
-};
+pub use forensic::{capture, trace_run};
+pub use forge::{attacker_login, forged_bind, forged_unbind, ATTACKER_ID, ATTACKER_PW};
+pub use observe::{metrics_run, monitor_run, run_lifecycle, MonitorRun};
 pub use prof::{prof_run, ProfRun};
-pub use raw::RawEndpoint;
+pub use raw::{RawClient, RawEndpoint, Replies};
 pub use world::{Home, World, WorldBuilder};

@@ -1,122 +1,104 @@
-//! The canonical observability scenario.
+//! The canonical binding life cycle and the monitor-enabled scenario.
 //!
-//! [`metrics_run`] drives one home through the full binding life cycle —
-//! setup, a control round-trip, an unbind, a re-bind, and a quiesce period
-//! — with every layer (sim engine, cloud, app, device) recording into one
-//! shared [`Telemetry`] registry. `rbsim metrics`, the pinned Prometheus
-//! golden, and the `exp_observability` bench all consume this exact
-//! scenario, so a metric that drifts shows up identically in all three.
+//! [`run_lifecycle`] drives one home through the full binding life cycle —
+//! setup, a control round-trip, an unbind, a factory reset, a re-bind, and
+//! a quiesce period — on whatever world it is handed. The world decides
+//! what is recorded: [`metrics_run`] keeps the shared [`Telemetry`]
+//! registry, [`trace_run`](crate::trace_run) the causal trace, and
+//! [`prof_run`](crate::prof_run) the phase profile. `rbsim metrics`, the
+//! pinned Prometheus golden, and the `exp_observability` bench all consume
+//! this exact scenario, so a metric that drifts shows up identically in
+//! all three.
 //!
-//! Determinism: the run is a pure function of `(design, seed, profile)`.
-//! Two invocations with the same arguments produce byte-identical JSON and
-//! Prometheus exports (asserted in `tests/telemetry.rs`).
+//! Determinism: the run is a pure function of `(design, seed, profile)`
+//! and the world's builder options. Two invocations with the same
+//! arguments produce byte-identical JSON and Prometheus exports (asserted
+//! in `tests/telemetry.rs`).
 
 use rb_cloud::DefensePolicy;
-use rb_core::design::{BindScheme, VendorDesign};
-use rb_netsim::{Dest, Telemetry};
-use rb_wire::envelope::{CorrId, Envelope};
+use rb_core::design::VendorDesign;
+use rb_netsim::Telemetry;
 use rb_wire::messages::{
-    BindPayload, ControlAction, DeviceAttributes, Message, Response, StatusAuth, StatusPayload,
-    UnbindPayload,
+    ControlAction, DeviceAttributes, Message, Response, StatusAuth, StatusPayload, UnbindPayload,
 };
-use rb_wire::tokens::{UserId, UserPw, UserToken};
+use rb_wire::tokens::UserToken;
 
-use crate::{ChaosProfile, World, WorldBuilder};
+use crate::{
+    attacker_login, forged_bind, forged_unbind, ChaosProfile, RawClient, World, WorldBuilder,
+};
 
 /// How long each post-setup phase of the canonical scenario runs.
 const PHASE_TICKS: u64 = 10_000;
 
-/// Runs the canonical binding-life-cycle scenario on a pristine world and
-/// returns the shared metrics registry.
-pub fn metrics_run(design: &VendorDesign, seed: u64) -> Telemetry {
-    metrics_run_with(design, seed, None)
-}
-
-/// Like [`metrics_run`], optionally disturbed by a [`ChaosProfile`] fault
-/// plan (the chaos experiments compare profiles through their telemetry).
-pub fn metrics_run_with(
-    design: &VendorDesign,
-    seed: u64,
-    profile: Option<ChaosProfile>,
-) -> Telemetry {
-    defended_metrics_run(design, seed, profile, DefensePolicy::disabled())
-}
-
-/// Like [`metrics_run_with`], with a [`DefensePolicy`] installed — the
-/// precision leg of `exp_defense`: the benign lifecycle under the hardened
-/// monitor must raise zero alerts and draw zero interventions, chaos or
-/// not. Passing [`DefensePolicy::disabled`] reproduces [`metrics_run_with`]
-/// byte-for-byte.
-pub fn defended_metrics_run(
-    design: &VendorDesign,
-    seed: u64,
-    profile: Option<ChaosProfile>,
-    policy: DefensePolicy,
-) -> Telemetry {
-    let mut world = WorldBuilder::new(design.clone(), seed)
-        .defense(policy)
-        .build();
-    lifecycle_run(&mut world, seed, profile)
-}
-
-/// Like [`metrics_run`], with the world speaking an explicit wire codec.
+/// Runs the canonical binding life cycle on `world`, first applying the
+/// `profile` fault plan (seeded by the world's seed) if given.
 ///
-/// The simulation is codec-invariant — link latency is drawn independently
-/// of payload size — so everything except the `bytes` annotations in traces
-/// and the `sim_packet_bytes_*` counters is identical under either codec
-/// (pinned by `tests/codec_invariance.rs`).
-pub fn metrics_run_with_codec(
-    design: &VendorDesign,
-    seed: u64,
-    codec: rb_wire::codec::CodecKind,
-) -> Telemetry {
-    let mut world = WorldBuilder::new(design.clone(), seed)
-        .with_codec(codec)
-        .build();
-    lifecycle_run(&mut world, seed, None)
-}
-
-/// Drives the canonical binding life cycle on an already-built world.
-fn lifecycle_run(world: &mut World, seed: u64, profile: Option<ChaosProfile>) -> Telemetry {
+/// The six phases — `scenario.setup`, `.control`, `.unbind`, `.reset`,
+/// `.rebind`, `.quiesce` — are bracketed on the world's profiler, which
+/// records nothing unless the world was built with one. The
+/// `scenario_setup_converged` gauge records whether setup converged,
+/// which is also the return value. Under chaos setup may legitimately not
+/// converge; the four user phases are then skipped and the registry
+/// records the give-ups and retries instead.
+pub fn run_lifecycle(world: &mut World, profile: Option<ChaosProfile>) -> bool {
     if let Some(profile) = profile {
-        let plan = profile.plan(world, seed);
+        let plan = profile.plan(world, world.seed());
         world.apply_fault_plan(&plan);
     }
-    // Phase 1: setup. Under chaos this may legitimately not converge;
-    // the registry then records the give-ups and retries instead.
-    let converged = world.try_run_setup(300_000);
+    let converged = phase(world, "scenario.setup", |w| w.try_run_setup(300_000));
     world
         .telemetry()
         .gauge_set("scenario_setup_converged", i64::from(converged));
 
     if converged {
-        // Phase 2: one control round-trip (Bound → Control transition and
-        // a device command).
-        world.app_mut(0).queue_control(ControlAction::TurnOn);
-        world.run_for(PHASE_TICKS);
-
-        // Phase 3: unbind ("remove device" in the app) ...
-        world.app_mut(0).queue_unbind();
-        world.run_for(PHASE_TICKS);
-
-        // Phase 4: ... and re-bind, populating the unbind-to-rebind
-        // window histogram. The device is factory-reset first — a
-        // cloud-side unbind does not make a device-bind design re-send
-        // its Bind, so "remove device, reset it, add it again" is the
-        // realistic re-pairing flow for every design.
-        world.device_mut(0).queue_reset();
-        // The reset executes on the device's next heartbeat tick; let it
-        // land before the user re-opens the app, or the fresh pairing
-        // material would be wiped mid-provisioning.
-        world.run_for(PHASE_TICKS);
-        world.app_mut(0).restart_setup();
-        world.try_run_setup(300_000);
+        // One control round-trip (Bound → Control transition and a
+        // device command).
+        phase(world, "scenario.control", |w| {
+            w.app_mut(0).queue_control(ControlAction::TurnOn);
+            w.run_for(PHASE_TICKS);
+        });
+        // Unbind ("remove device" in the app) ...
+        phase(world, "scenario.unbind", |w| {
+            w.app_mut(0).queue_unbind();
+            w.run_for(PHASE_TICKS);
+        });
+        // ... and re-bind, populating the unbind-to-rebind window
+        // histogram. A cloud-side unbind does not make a device-bind
+        // design re-send its Bind, so "remove device, reset it, add it
+        // again" is the realistic re-pairing flow for every design. The
+        // reset executes on the device's next heartbeat tick; let it land
+        // before the user re-opens the app, or the fresh pairing material
+        // would be wiped mid-provisioning.
+        phase(world, "scenario.reset", |w| {
+            w.device_mut(0).queue_reset();
+            w.run_for(PHASE_TICKS);
+        });
+        phase(world, "scenario.rebind", |w| {
+            w.app_mut(0).restart_setup();
+            w.try_run_setup(300_000);
+        });
     }
 
-    // Phase 5: quiesce — heartbeats keep flowing so steady-state counters
-    // separate from the setup burst.
-    world.run_for(PHASE_TICKS);
+    // Quiesce — heartbeats keep flowing so steady-state counters separate
+    // from the setup burst.
+    phase(world, "scenario.quiesce", |w| w.run_for(PHASE_TICKS));
+    converged
+}
 
+/// Runs `act` bracketed as phase `name` on the world's profiler.
+fn phase<R>(world: &mut World, name: &str, act: impl FnOnce(&mut World) -> R) -> R {
+    let profiler = world.sim.profiler().clone();
+    let tok = profiler.enter(name, world.now().as_u64());
+    let out = act(world);
+    profiler.exit(tok, world.now().as_u64());
+    out
+}
+
+/// Runs the canonical binding life cycle on a pristine world and returns
+/// the shared metrics registry.
+pub fn metrics_run(design: &VendorDesign, seed: u64) -> Telemetry {
+    let mut world = WorldBuilder::new(design.clone(), seed).build();
+    run_lifecycle(&mut world, None);
     world.telemetry().clone()
 }
 
@@ -137,32 +119,6 @@ pub struct MonitorRun {
     pub converged: bool,
 }
 
-/// Sends one forged request from the world's raw attacker endpoint and
-/// waits for the matching reply.
-fn attacker_request(world: &mut World, corr: u64, msg: Message, wait: u64) -> Option<Response> {
-    let cloud = world.cloud;
-    let codec = world.codec();
-    world.attacker_mut().queue(
-        Dest::Unicast(cloud),
-        Envelope::Request {
-            corr: CorrId(corr),
-            msg,
-        }
-        .encode_with(codec)
-        .to_vec(),
-    );
-    world.run_for(wait);
-    for (_, bytes) in world.attacker_mut().take_inbox() {
-        let bytes = bytes::Bytes::from(bytes);
-        if let Ok(Envelope::Response { corr: c, rsp }) = Envelope::decode_with(codec, &bytes) {
-            if c == CorrId(corr) {
-                return Some(rsp);
-            }
-        }
-    }
-    None
-}
-
 /// The canonical monitor-enabled scenario: one benign home plus a scripted
 /// WAN attacker, with the hardened [`DefensePolicy`] installed and the
 /// netsim stream tap on.
@@ -180,34 +136,20 @@ pub fn monitor_run(design: &VendorDesign, seed: u64) -> MonitorRun {
         .build();
     let converged = world.try_run_setup(300_000);
     let dev_id = world.homes[0].dev_id.clone();
-    let mut corr = 1_000;
-    let mut next = || {
-        corr += 1;
-        corr
-    };
+    let mut attacker = RawClient::default();
 
     // Attacker signs in with its own (legitimately created) account.
-    let token = match attacker_request(
-        &mut world,
-        next(),
-        Message::Login {
-            user_id: UserId::new("attacker@evil.example"),
-            user_pw: UserPw::new("attacker-pw"),
-        },
-        2_000,
-    ) {
-        Some(Response::LoginOk { user_token }) => Some(user_token),
-        _ => None,
+    let token = match attacker.request(&mut world, attacker_login(), 2_000).reply {
+        Some(Response::LoginOk { user_token }) => user_token,
+        _ => UserToken::from_entropy(0),
     };
-    let token = token.unwrap_or_else(|| UserToken::from_entropy(0));
 
     // ID-space sweep: ten probes against sequential (mostly unknown)
     // DevIds — the enumeration-rate signature.
     for i in 1..=10u64 {
         let probe = design.id_scheme.id_at(1_000 + i);
-        let _ = attacker_request(
+        attacker.request(
             &mut world,
-            next(),
             Message::Unbind(UnbindPayload::DevIdUserToken {
                 dev_id: probe,
                 user_token: token,
@@ -218,9 +160,8 @@ pub fn monitor_run(design: &VendorDesign, seed: u64) -> MonitorRun {
 
     // A forged device registration from the WAN (session move; on
     // register-reset designs also the impossible shadow transition).
-    let _ = attacker_request(
+    attacker.request(
         &mut world,
-        next(),
         Message::Status(StatusPayload::register(
             StatusAuth::DevId(dev_id.clone()),
             dev_id.clone(),
@@ -230,37 +171,16 @@ pub fn monitor_run(design: &VendorDesign, seed: u64) -> MonitorRun {
     );
 
     // An unauthorized unbind against the victim's device.
-    let unbind = if design.unbind.dev_id_only {
-        UnbindPayload::DevIdOnly {
-            dev_id: dev_id.clone(),
-        }
-    } else {
-        UnbindPayload::DevIdUserToken {
-            dev_id: dev_id.clone(),
-            user_token: token,
-        }
-    };
-    let _ = attacker_request(&mut world, next(), Message::Unbind(unbind), 2_000);
+    let unbind = forged_unbind(design, &dev_id, token);
+    attacker.request(&mut world, Message::Unbind(unbind), 2_000);
 
     // Repeated binds with the attacker's own account (contested-binding on
     // rejecting designs, displacement + remote-only-bind on replacing
     // ones). The capability shape needs a device round trip the WAN
     // attacker does not have, so it is skipped there.
-    let bind = match design.bind {
-        BindScheme::AclApp => Some(BindPayload::AclApp {
-            dev_id: dev_id.clone(),
-            user_token: token,
-        }),
-        BindScheme::AclDevice => Some(BindPayload::AclDevice {
-            dev_id: dev_id.clone(),
-            user_id: UserId::new("attacker@evil.example"),
-            user_pw: UserPw::new("attacker-pw"),
-        }),
-        BindScheme::Capability => None,
-    };
-    if let Some(payload) = bind {
+    if let Some(payload) = forged_bind(design, &dev_id, token) {
         for _ in 0..3 {
-            let _ = attacker_request(&mut world, next(), Message::Bind(payload.clone()), 1_000);
+            attacker.request(&mut world, Message::Bind(payload.clone()), 1_000);
         }
     }
 

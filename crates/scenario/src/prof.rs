@@ -1,11 +1,9 @@
 //! The canonical profiling scenario behind `rbsim prof`.
 //!
-//! [`prof_run`] drives the same binding life cycle as
-//! [`metrics_run`](crate::metrics_run) — setup, a control round-trip, an
-//! unbind, a factory reset, a re-bind, and a quiesce period — but with a
-//! recording [`Profiler`] threaded through every tick-consuming layer. The
-//! result answers "where do the ticks go": scenario phases at the root,
-//! the sim's per-event phases (`sim.deliver`, `sim.timer`, …) nested
+//! [`prof_run`] drives the canonical binding life cycle
+//! ([`run_lifecycle`]) with a recording [`Profiler`] threaded through
+//! every tick-consuming layer. The result answers "where do the ticks
+//! go": scenario phases at the root, the sim's per-event phases (`sim.deliver`, `sim.timer`, …) nested
 //! underneath, and the cloud's codec/dispatch tallies under those.
 //!
 //! Determinism: the run is sim-clocked, so the folded-stack export and the
@@ -16,12 +14,8 @@
 use rb_core::design::VendorDesign;
 use rb_netsim::Telemetry;
 use rb_prof::{PhaseProfile, Profiler};
-use rb_wire::messages::ControlAction;
 
-use crate::{World, WorldBuilder};
-
-/// How long each post-setup phase runs (matches the metrics scenario).
-const PHASE_TICKS: u64 = 10_000;
+use crate::{run_lifecycle, WorldBuilder};
 
 /// The artifacts of one [`prof_run`].
 #[derive(Debug, Clone)]
@@ -48,56 +42,11 @@ pub fn prof_run(design: &VendorDesign, seed: u64) -> ProfRun {
         .with_telemetry(telemetry.clone())
         .with_profiler(profiler.clone())
         .build();
-
-    fn now(world: &World) -> u64 {
-        world.now().as_u64()
-    }
-
-    // Phase 1: setup. Under a non-converging design the registry records
-    // the give-ups; the phase still brackets the whole attempt.
-    let tok = profiler.enter("scenario.setup", now(&world));
-    let converged = world.try_run_setup(300_000);
-    profiler.exit(tok, now(&world));
-    world
-        .telemetry()
-        .gauge_set("scenario_setup_converged", i64::from(converged));
-
-    if converged {
-        // Phase 2: one control round-trip.
-        let tok = profiler.enter("scenario.control", now(&world));
-        world.app_mut(0).queue_control(ControlAction::TurnOn);
-        world.run_for(PHASE_TICKS);
-        profiler.exit(tok, now(&world));
-
-        // Phase 3: unbind ("remove device" in the app).
-        let tok = profiler.enter("scenario.unbind", now(&world));
-        world.app_mut(0).queue_unbind();
-        world.run_for(PHASE_TICKS);
-        profiler.exit(tok, now(&world));
-
-        // Phase 4: factory reset, letting it land on the next heartbeat.
-        let tok = profiler.enter("scenario.reset", now(&world));
-        world.device_mut(0).queue_reset();
-        world.run_for(PHASE_TICKS);
-        profiler.exit(tok, now(&world));
-
-        // Phase 5: re-bind from scratch.
-        let tok = profiler.enter("scenario.rebind", now(&world));
-        world.app_mut(0).restart_setup();
-        world.try_run_setup(300_000);
-        profiler.exit(tok, now(&world));
-    }
-
-    // Phase 6: quiesce — steady-state heartbeats, no user actions.
-    let tok = profiler.enter("scenario.quiesce", now(&world));
-    world.run_for(PHASE_TICKS);
-    profiler.exit(tok, now(&world));
-
-    let end_tick = now(&world);
+    let converged = run_lifecycle(&mut world, None);
     ProfRun {
         profile: profiler.snapshot(),
-        telemetry: world.telemetry().clone(),
+        telemetry,
         converged,
-        end_tick,
+        end_tick: world.now().as_u64(),
     }
 }

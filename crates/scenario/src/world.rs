@@ -208,8 +208,8 @@ impl WorldBuilder {
         cloud_service.set_forensics(self.trace);
         cloud_service.set_codec(self.codec);
         cloud_service.provision_account(
-            UserId::new("attacker@evil.example"),
-            UserPw::new("attacker-pw"),
+            UserId::new(crate::ATTACKER_ID),
+            UserPw::new(crate::ATTACKER_PW),
         );
 
         // Manufacture one device per home plus a registry tail, so the ID

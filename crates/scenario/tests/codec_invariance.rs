@@ -10,8 +10,29 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use rb_core::vendors;
-use rb_scenario::{metrics_run, metrics_run_with_codec, trace_run_with_codec};
+use rb_forensics::Capture;
+use rb_netsim::Telemetry;
+use rb_scenario::{capture, metrics_run, run_lifecycle, World, WorldBuilder};
 use rb_wire::codec::CodecKind;
+
+/// The canonical TP-LINK seed-7 lifecycle under `codec`, traced or not.
+fn lifecycle(codec: CodecKind, trace: bool) -> World {
+    let mut builder = WorldBuilder::new(vendors::tp_link(), 7).with_codec(codec);
+    if trace {
+        builder = builder.trace();
+    }
+    let mut world = builder.build();
+    run_lifecycle(&mut world, None);
+    world
+}
+
+fn metrics(codec: CodecKind) -> Telemetry {
+    lifecycle(codec, false).telemetry().clone()
+}
+
+fn traced(codec: CodecKind) -> Capture {
+    capture(&lifecycle(codec, true))
+}
 
 /// Drops every character of a digit-run so `sent 34B` and `sent 21B`
 /// compare equal while any other difference still shows.
@@ -21,9 +42,8 @@ fn strip_digits(line: &str) -> String {
 
 #[test]
 fn tp_link_telemetry_is_codec_invariant() {
-    let design = vendors::tp_link();
-    let classic = metrics_run_with_codec(&design, 7, CodecKind::Classic);
-    let compact = metrics_run_with_codec(&design, 7, CodecKind::Compact);
+    let classic = metrics(CodecKind::Classic);
+    let compact = metrics(CodecKind::Compact);
 
     // Byte-size counters are the only metrics allowed to differ.
     let filter = |export: String| -> String {
@@ -42,9 +62,8 @@ fn tp_link_telemetry_is_codec_invariant() {
 
 #[test]
 fn classic_codec_run_matches_default_run() {
-    let design = vendors::tp_link();
-    let default_run = metrics_run(&design, 7);
-    let classic = metrics_run_with_codec(&design, 7, CodecKind::Classic);
+    let default_run = metrics_run(&vendors::tp_link(), 7);
+    let classic = metrics(CodecKind::Classic);
     assert_eq!(
         default_run.to_prometheus(),
         classic.to_prometheus(),
@@ -54,9 +73,8 @@ fn classic_codec_run_matches_default_run() {
 
 #[test]
 fn tp_link_traces_are_codec_invariant_modulo_byte_sizes() {
-    let design = vendors::tp_link();
-    let classic = trace_run_with_codec(&design, 7, None, CodecKind::Classic);
-    let compact = trace_run_with_codec(&design, 7, None, CodecKind::Compact);
+    let classic = traced(CodecKind::Classic);
+    let compact = traced(CodecKind::Compact);
 
     assert_eq!(
         classic.trace.len(),

@@ -18,18 +18,9 @@ fn monitor_run_detects_and_mitigates_the_scripted_attacker() {
         "the ID sweep is flagged:\n{}",
         run.alert_stream
     );
-    let snap = run.telemetry.snapshot();
-    let alerts: u64 = snap
-        .counters()
-        .filter(|(name, _)| name.starts_with("cloud_alerts_total"))
-        .map(|(_, v)| v)
-        .sum();
+    let alerts = run.telemetry.counter_family("cloud_alerts_total");
     assert!(alerts >= 2, "several detectors fire on TP-LINK: {alerts}");
-    let mitigations: u64 = snap
-        .counters()
-        .filter(|(name, _)| name.starts_with("cloud_mitigations_total"))
-        .map(|(_, v)| v)
-        .sum();
+    let mitigations = run.telemetry.counter_family("cloud_mitigations_total");
     assert!(
         mitigations >= 1,
         "the hardened policy reacts: {mitigations}"

@@ -6,7 +6,46 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use rb_core::vendors;
-use rb_scenario::prof_run;
+use rb_netsim::TraceEvent;
+use rb_scenario::{metrics_run, prof_run, trace_run};
+
+/// The metrics, trace and profile runs drive one lifecycle, so for every
+/// vendor they end on the same tick and send the same packets.
+#[test]
+fn metrics_trace_and_prof_runs_agree() {
+    for design in vendors::vendor_designs() {
+        let metrics = metrics_run(&design, 7).snapshot();
+        let trace = trace_run(&design, 7, None);
+        let prof = prof_run(&design, 7);
+        let vendor = &design.vendor;
+        assert!(prof.converged, "{vendor}: setup converges");
+        assert_eq!(
+            metrics.gauge("scenario_setup_converged"),
+            Some(1),
+            "{vendor}"
+        );
+        assert_eq!(
+            metrics.gauge("sim_now_ticks"),
+            Some(prof.end_tick as i64),
+            "{vendor}: metrics and prof runs end on the same tick"
+        );
+        let sent = trace
+            .trace
+            .iter()
+            .filter(|e| matches!(e.event, TraceEvent::Sent { .. }))
+            .count() as u64;
+        assert_eq!(
+            metrics.counter("sim_packets_sent_total"),
+            sent,
+            "{vendor}: metrics and trace runs send the same packets"
+        );
+        assert_eq!(
+            prof.telemetry.counter("sim_packets_sent_total"),
+            sent,
+            "{vendor}: prof and trace runs send the same packets"
+        );
+    }
+}
 
 /// Reruns of the same (design, seed) must produce byte-identical folded
 /// output — the profiler is clocked off the sim tick, never the wall.

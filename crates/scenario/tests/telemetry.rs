@@ -8,7 +8,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use rb_core::vendors;
-use rb_scenario::{metrics_run, metrics_run_with, ChaosProfile};
+use rb_scenario::{metrics_run, run_lifecycle, ChaosProfile, WorldBuilder};
 
 #[test]
 fn metrics_run_is_byte_deterministic() {
@@ -27,7 +27,11 @@ fn metrics_run_is_byte_deterministic() {
 #[test]
 fn chaos_metrics_run_is_byte_deterministic() {
     let design = vendors::d_link();
-    let run = || metrics_run_with(&design, 11, Some(ChaosProfile::DupReorder));
+    let run = || {
+        let mut world = WorldBuilder::new(design.clone(), 11).build();
+        run_lifecycle(&mut world, Some(ChaosProfile::DupReorder));
+        world.telemetry().clone()
+    };
     let (a, b) = (run(), run());
     assert_eq!(a.to_json(), b.to_json());
     assert_eq!(a.to_prometheus(), b.to_prometheus());

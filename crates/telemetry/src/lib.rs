@@ -163,6 +163,12 @@ impl Telemetry {
         self.with(|r| r.counter(name))
     }
 
+    /// Sums counter family `prefix` under the lock, without a snapshot
+    /// (see [`Registry::counter_family`]).
+    pub fn counter_family(&self, prefix: &str) -> u64 {
+        self.with(|r| r.counter_family(prefix))
+    }
+
     /// Sets gauge `name` to `value`.
     pub fn gauge_set(&self, name: &str, value: i64) {
         if self.enabled {

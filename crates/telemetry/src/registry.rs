@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::Bound;
 
 use crate::histogram::Histogram;
 use crate::json;
@@ -99,6 +100,16 @@ impl Registry {
     /// All counters in key order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+    }
+
+    /// The sum of every counter whose key starts with `prefix` — one
+    /// labelled family such as `cloud_mitigations_total{action=…}`.
+    pub fn counter_family(&self, prefix: &str) -> u64 {
+        self.counters
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(k, _)| k.starts_with(prefix))
+            .map(|(_, v)| v)
+            .sum()
     }
 
     /// Sets gauge `name`.
@@ -574,6 +585,18 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+
+    #[test]
+    fn counter_family_sums_only_its_prefix() {
+        let mut r = Registry::new();
+        r.counter_add("a_total{x=\"1\"}", 2);
+        r.counter_add("a_total{x=\"2\"}", 3);
+        r.counter_add("a_totals", 100);
+        r.counter_add("b_total", 7);
+        assert_eq!(r.counter_family("a_total{"), 5);
+        assert_eq!(r.counter_family("a_total"), 105);
+        assert_eq!(r.counter_family("c_"), 0);
+    }
 
     #[test]
     fn lifecycle_feeds_binding_histograms() {
