@@ -395,7 +395,7 @@ impl AppAgent {
         let env = Envelope::Request { corr, msg };
         ctx.send(
             Dest::Unicast(self.config.cloud),
-            env.encode_with(self.codec).to_vec(),
+            env.encode_with(self.codec),
         );
         self.last_send_at = ctx.now();
         corr

@@ -59,7 +59,7 @@ impl Actor for MockCloud {
         };
         ctx.send(
             Dest::Unicast(from),
-            Envelope::Response { corr, rsp }.encode().to_vec(),
+            Envelope::Response { corr, rsp }.encode(),
         );
     }
 }

@@ -149,7 +149,7 @@ fn build_world(design: &VendorDesign, seed: u64, opts: &AttackOpts, paused: bool
     let mut builder = WorldBuilder::new(design.clone(), seed)
         .fault_plan(opts.fault_plan.clone())
         .with_telemetry(opts.telemetry.clone())
-        .defense(opts.defense.clone());
+        .defense(opts.defense);
     if paused {
         builder = builder.victim_paused();
     }

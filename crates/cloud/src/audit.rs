@@ -1,7 +1,44 @@
 //! Append-only audit log of cloud decisions.
 
 use rb_netsim::{NodeId, Tick};
+use rb_wire::messages::{DenyReason, Response};
 use std::fmt;
+
+/// What the cloud answered, as the audit log keeps it: the reply's kind,
+/// or the reason for a denial. `Copy`, so recording a decision allocates
+/// nothing; [`fmt::Display`] prints exactly what the reply's own
+/// `Display` prints (`Bound`, `Denied(rate limited)`, …).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AuditOutcome {
+    /// A non-denial reply, by kind (`Response::kind_str`).
+    Reply(&'static str),
+    /// A denial and its reason.
+    Denied(DenyReason),
+}
+
+impl AuditOutcome {
+    /// The outcome recorded for `reply`.
+    pub fn of(reply: &Response) -> Self {
+        match reply {
+            Response::Denied { reason } => AuditOutcome::Denied(*reason),
+            other => AuditOutcome::Reply(other.kind_str()),
+        }
+    }
+
+    /// Whether the request was denied.
+    pub fn is_denied(self) -> bool {
+        matches!(self, AuditOutcome::Denied(_))
+    }
+}
+
+impl fmt::Display for AuditOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AuditOutcome::Reply(kind) => f.write_str(kind),
+            AuditOutcome::Denied(reason) => write!(f, "Denied({reason})"),
+        }
+    }
+}
 
 /// One audited decision.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -12,9 +49,8 @@ pub struct AuditEntry {
     pub from: NodeId,
     /// Request kind (`Message::kind_str`).
     pub request: &'static str,
-    /// Response kind (`Response::kind_str`), with the deny reason spelled
-    /// out for denials.
-    pub outcome: String,
+    /// Response kind, with the deny reason spelled out for denials.
+    pub outcome: AuditOutcome,
 }
 
 impl fmt::Display for AuditEntry {
@@ -70,7 +106,7 @@ impl AuditLog {
     pub fn denials(&self) -> usize {
         self.entries
             .iter()
-            .filter(|e| e.outcome.starts_with("Denied"))
+            .filter(|e| e.outcome.is_denied())
             .count()
     }
 }
@@ -85,12 +121,12 @@ impl Default for AuditLog {
 mod tests {
     use super::*;
 
-    fn entry(at: u64, outcome: &str) -> AuditEntry {
+    fn entry(at: u64, reply: &Response) -> AuditEntry {
         AuditEntry {
             at: Tick(at),
             from: NodeId(1),
             request: "Bind",
-            outcome: outcome.to_owned(),
+            outcome: AuditOutcome::of(reply),
         }
     }
 
@@ -98,8 +134,13 @@ mod tests {
     fn push_and_iterate() {
         let mut log = AuditLog::new(10);
         assert!(log.is_empty());
-        log.push(entry(1, "Bound"));
-        log.push(entry(2, "Denied(device already bound)"));
+        log.push(entry(1, &Response::Bound { session: None }));
+        log.push(entry(
+            2,
+            &Response::Denied {
+                reason: DenyReason::AlreadyBound,
+            },
+        ));
         assert_eq!(log.len(), 2);
         assert_eq!(log.denials(), 1);
         let first = log.entries().next().unwrap();
@@ -111,9 +152,38 @@ mod tests {
     fn cap_evicts_oldest() {
         let mut log = AuditLog::new(3);
         for i in 0..5 {
-            log.push(entry(i, "Bound"));
+            log.push(entry(i, &Response::Unbound));
         }
         assert_eq!(log.len(), 3);
         assert_eq!(log.entries().next().unwrap().at, Tick(2));
+    }
+
+    #[test]
+    fn outcome_prints_what_the_reply_prints() {
+        let mut replies = vec![
+            Response::Bound { session: None },
+            Response::Unbound,
+            Response::BindingRevoked,
+            Response::ShadowState {
+                online: true,
+                bound: false,
+            },
+        ];
+        replies.extend(
+            [
+                DenyReason::RateLimited,
+                DenyReason::UnknownDevice,
+                DenyReason::AlreadyBound,
+            ]
+            .map(|reason| Response::Denied { reason }),
+        );
+        for reply in replies {
+            let outcome = AuditOutcome::of(&reply);
+            assert_eq!(outcome.to_string(), reply.to_string());
+            assert_eq!(
+                outcome.is_denied(),
+                matches!(reply, Response::Denied { .. })
+            );
+        }
     }
 }

@@ -217,7 +217,7 @@ impl SecurityAlert {
 /// the monitor observes and alerts but the service never intervenes, so
 /// Table III outcomes and every pinned golden are unchanged unless a world
 /// opts in.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DefensePolicy {
     /// Rotate the binding-session token when a takeover-shaped alert
     /// (binding-replaced, session-moved, stale-token-replay) names a bound
@@ -437,26 +437,34 @@ impl Monitor {
     /// alert when the per-source distinct-ID count crosses the absolute
     /// threshold *or* the count of new IDs inside the sliding window
     /// crosses the rate threshold.
+    ///
+    /// The alert is raised once per source, so nothing recorded about a
+    /// flagged source is ever read again: its tables stop growing there,
+    /// which caps them at [`Monitor::enumeration_threshold`] IDs. The
+    /// source stays a key, so `sources_tracked` still counts it.
     pub(crate) fn observe_target(&mut self, source: NodeId, dev_id: &DevId, now: Tick) {
+        if self.flagged.contains(&source) {
+            return;
+        }
         let set = self.touched.entry(source).or_default();
         if !set.insert(dev_id.clone()) {
             return;
         }
+        let total = set.len();
         let ticks = self.first_touch.entry(source).or_default();
         ticks.push(now.as_u64());
         let window_start = now.as_u64().saturating_sub(self.enumeration_window);
         let in_window = ticks.partition_point(|&t| t <= window_start);
         let windowed = ticks.len() - in_window;
-        let total = self.touched.get(&source).map_or(0, HashSet::len);
         let hit_total = total >= self.enumeration_threshold;
         let hit_window = windowed >= self.enumeration_rate_threshold;
-        if (hit_total || hit_window) && self.flagged.insert(source) {
-            let ticks = self.first_touch.get(&source).cloned().unwrap_or_default();
+        if hit_total || hit_window {
             let evidence = if hit_window {
                 ticks.get(in_window).copied().unwrap_or(now.as_u64())
             } else {
                 ticks.first().copied().unwrap_or(now.as_u64())
             };
+            self.flagged.insert(source);
             self.raise_with_evidence(
                 now,
                 Tick(evidence),
@@ -595,6 +603,9 @@ impl Monitor {
     /// defense cursor past them. The service calls this after every
     /// handled request to drive the active responses.
     pub(crate) fn drain_defense_alerts(&mut self) -> Vec<(Tick, SecurityAlert)> {
+        if self.defense_cursor == self.log.len() {
+            return Vec::new();
+        }
         let fresh = self.log[self.defense_cursor..].to_vec();
         self.defense_cursor = self.log.len();
         fresh
@@ -627,6 +638,99 @@ mod tests {
         // A second source has its own counter.
         m.observe_target(NodeId(8), &id(0), Tick(2));
         assert_eq!(m.count("enumeration"), 1);
+    }
+
+    fn serial(seq: u64) -> DevId {
+        DevId::Serial { vendor: 7, seq }
+    }
+
+    /// The enumeration tracking as it was before flagged sources stopped
+    /// recording: every distinct ID a source touches is kept for good.
+    fn observe_target_unbounded(m: &mut Monitor, source: NodeId, dev_id: &DevId, now: Tick) {
+        let set = m.touched.entry(source).or_default();
+        if !set.insert(dev_id.clone()) {
+            return;
+        }
+        let ticks = m.first_touch.entry(source).or_default();
+        ticks.push(now.as_u64());
+        let window_start = now.as_u64().saturating_sub(m.enumeration_window);
+        let in_window = ticks.partition_point(|&t| t <= window_start);
+        let windowed = ticks.len() - in_window;
+        let total = m.touched.get(&source).map_or(0, HashSet::len);
+        let hit_total = total >= m.enumeration_threshold;
+        let hit_window = windowed >= m.enumeration_rate_threshold;
+        if (hit_total || hit_window) && m.flagged.insert(source) {
+            let ticks = m.first_touch.get(&source).cloned().unwrap_or_default();
+            let evidence = if hit_window {
+                ticks.get(in_window).copied().unwrap_or(now.as_u64())
+            } else {
+                ticks.first().copied().unwrap_or(now.as_u64())
+            };
+            m.raise_with_evidence(
+                now,
+                Tick(evidence),
+                SecurityAlert::EnumerationSuspected {
+                    source,
+                    distinct_ids: total,
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn flagged_source_tables_stay_bounded() {
+        let mut m = Monitor::new();
+        let source = NodeId(9);
+        for seq in 0..100_000 + m.enumeration_threshold as u64 {
+            m.observe_target(source, &serial(seq), Tick(seq));
+        }
+        assert_eq!(m.count("enumeration"), 1);
+        assert!(m.touched[&source].len() <= m.enumeration_threshold);
+        assert!(m.first_touch[&source].len() <= m.enumeration_threshold);
+        assert!(m.render_state().contains("sources_tracked=1\n"));
+    }
+
+    #[test]
+    fn bounded_tables_render_like_the_unbounded_ones() {
+        // (total threshold, burst threshold, window): the defaults, and a
+        // burst-first setting where the window decides.
+        for (total, burst, window) in [(8, 8, 10_000), (100, 5, 300)] {
+            let mut bounded = Monitor::new();
+            let mut reference = Monitor::new();
+            for m in [&mut bounded, &mut reference] {
+                m.enumeration_threshold = total;
+                m.enumeration_rate_threshold = burst;
+                m.enumeration_window = window;
+            }
+            // A fixed pseudo-random mix of sources, repeated IDs and
+            // tick gaps, plus device sessions so other tables fill too.
+            let mut state = 0x2545_f491_4f6c_dd1d_u64;
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                state >> 33
+            };
+            let mut now = 0;
+            for _ in 0..20_000 {
+                now += next() % 200;
+                let source = NodeId(1 + (next() % 5) as u32);
+                let dev = serial(next() % 3_000);
+                if next() % 16 == 0 {
+                    let ip = (next() % 4) as u32;
+                    bounded.observe_device_ip(&dev, ip, Tick(now));
+                    reference.observe_device_ip(&dev, ip, Tick(now));
+                }
+                bounded.observe_target(source, &dev, Tick(now));
+                observe_target_unbounded(&mut reference, source, &dev, Tick(now));
+            }
+            assert!(bounded.count("enumeration") > 0);
+            assert_eq!(
+                bounded.render_alert_stream(),
+                reference.render_alert_stream()
+            );
+            assert_eq!(bounded.render_state(), reference.render_state());
+        }
     }
 
     #[test]

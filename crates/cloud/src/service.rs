@@ -5,6 +5,7 @@
 //! elements symbolically, and this module *executes* them, so the Table III
 //! experiment can cross-check prediction against execution.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use rb_core::design::{BindScheme, CloudChecks, DeviceAuthScheme, UnbindSupport, VendorDesign};
@@ -20,7 +21,7 @@ use rb_wire::messages::{
 use rb_wire::tokens::{SessionToken, UserId, UserPw, UserToken};
 
 use crate::accounts::AccountStore;
-use crate::audit::{AuditEntry, AuditLog};
+use crate::audit::{AuditEntry, AuditLog, AuditOutcome};
 use crate::issued::{BindTokenLedger, DevTokenLedger};
 use crate::monitor::{DefensePolicy, Monitor, SecurityAlert};
 use crate::registry::{DeviceRecord, DeviceRegistry};
@@ -113,6 +114,25 @@ impl Outcome {
 }
 
 const TIMER_EXPIRE: u64 = 1;
+
+/// Counts one request from `from` against `limit`'s per-source window in
+/// `windows`; whether it exceeds the limit. No limit, no count.
+fn over_limit(
+    windows: &mut HashMap<NodeId, (Tick, u32)>,
+    limit: Option<RateLimit>,
+    from: NodeId,
+    now: Tick,
+) -> bool {
+    let Some(limit) = limit else {
+        return false;
+    };
+    let entry = windows.entry(from).or_insert((now, 0));
+    if now - entry.0 >= limit.window {
+        *entry = (now, 0);
+    }
+    entry.1 += 1;
+    entry.1 > limit.max
+}
 
 /// The simulated IoT cloud.
 ///
@@ -350,7 +370,7 @@ impl CloudService {
         msg: &Message,
         rng: &mut SimRng,
     ) -> Outcome {
-        let mut outcome = if self.rate_limited(from, now) {
+        let mut outcome = if over_limit(&mut self.rate, self.config.rate_limit, from, now) {
             Outcome::deny(DenyReason::RateLimited)
         } else {
             self.dispatch(from, now, msg, rng)
@@ -363,7 +383,7 @@ impl CloudService {
             let pushes = self.apply_defenses(now, rng);
             outcome.pushes.extend(pushes);
         }
-        let rendered = outcome.reply.to_string();
+        let audited = AuditOutcome::of(&outcome.reply);
         // The audit log and the metrics registry observe the same
         // request/outcome stream: the log keeps bounded per-request
         // records, the registry keeps unbounded per-kind counters. The
@@ -372,7 +392,7 @@ impl CloudService {
             self.telemetry.with(|r| {
                 let kind = msg.kind_str();
                 r.counter_add(&format!("cloud_requests_total{{kind=\"{kind}\"}}"), 1);
-                if rendered.starts_with("Denied") {
+                if audited.is_denied() {
                     r.counter_add(&format!("cloud_denials_total{{kind=\"{kind}\"}}"), 1);
                 }
             });
@@ -382,7 +402,7 @@ impl CloudService {
                 .dev_id()
                 .map_or_else(|| "-".to_string(), ToString::to_string);
             self.forensic_marks.push(format!(
-                "rpc {} dev={dev} outcome={rendered}",
+                "rpc {} dev={dev} outcome={audited}",
                 msg.primitive_str()
             ));
         }
@@ -390,7 +410,7 @@ impl CloudService {
             at: now,
             from,
             request: msg.kind_str(),
-            outcome: rendered,
+            outcome: audited,
         });
         outcome
     }
@@ -401,41 +421,24 @@ impl CloudService {
         std::mem::take(&mut self.forensic_marks)
     }
 
-    /// Whether this request from `from` exceeds the configured rate limit
-    /// (and counts it against the window).
-    fn rate_limited(&mut self, from: NodeId, now: Tick) -> bool {
-        let Some(limit) = self.config.rate_limit else {
-            return false;
-        };
-        let entry = self.rate.entry(from).or_insert((now, 0));
-        if now - entry.0 >= limit.window {
-            *entry = (now, 0);
-        }
-        entry.1 += 1;
-        entry.1 > limit.max
-    }
-
     // -- Active defense ------------------------------------------------------
-
-    /// Whether this `Bind` request from `from` exceeds the defense policy's
-    /// bind limiter (and counts it against the window).
-    fn defense_bind_limited(&mut self, from: NodeId, now: Tick) -> bool {
-        let Some(limit) = self.config.defense.bind_limit else {
-            return false;
-        };
-        let entry = self.bind_rate.entry(from).or_insert((now, 0));
-        if now - entry.0 >= limit.window {
-            *entry = (now, 0);
-        }
-        entry.1 += 1;
-        entry.1 > limit.max
-    }
 
     /// Records one mitigation: the `cloud_mitigations_total{action="…"}`
     /// counter, the `cloud_mitigations` rate series, a `defense` event on
     /// the streaming bus, and (under forensics) a FAULT-style
     /// `defense action=… … trigger=…` mark tied to the causing request.
-    fn record_mitigation(&mut self, now: Tick, action: &str, detail: &str, trigger: &str) {
+    /// `detail` is only formatted when one of those sinks is on.
+    fn record_mitigation(
+        &mut self,
+        now: Tick,
+        action: &str,
+        detail: impl FnOnce() -> String,
+        trigger: &str,
+    ) {
+        if !self.telemetry.is_enabled() && !self.forensics {
+            return;
+        }
+        let detail = detail();
         if self.telemetry.is_enabled() {
             self.telemetry
                 .incr(&format!("cloud_mitigations_total{{action=\"{action}\"}}"));
@@ -457,7 +460,7 @@ impl CloudService {
     /// configured [`DefensePolicy`]. Returns pushes (defensive revocation
     /// notices) to append to the current outcome.
     fn apply_defenses(&mut self, now: Tick, rng: &mut SimRng) -> Vec<(NodeId, Response)> {
-        let policy = self.config.defense.clone();
+        let policy = self.config.defense;
         let mut pushes = Vec::new();
         for (_, alert) in self.monitor.drain_defense_alerts() {
             let kind = alert.kind();
@@ -505,7 +508,7 @@ impl CloudService {
             return;
         };
         self.monitor.retire_token(dev_id, old, now);
-        self.record_mitigation(now, "rotate-token", &format!("dev={dev_id}"), trigger);
+        self.record_mitigation(now, "rotate-token", || format!("dev={dev_id}"), trigger);
     }
 
     /// Quarantines a suspect device: non-co-located binds are denied until
@@ -524,7 +527,7 @@ impl CloudService {
         self.monitor.quarantine(dev_id, now + ticks);
         let dev_ip = self.monitor.device_ip(dev_id);
         let mut pushes = Vec::new();
-        let mut detail = format!("dev={dev_id}");
+        let mut revoked_user = None;
         if let Some(record) = self.state.record_mut_existing(dev_id) {
             let colocated = matches!((record.binding_ip, dev_ip), (Some(b), Some(d)) if b == d);
             if record.shadow.state().is_bound() && (record.remote_bind_flagged || !colocated) {
@@ -538,14 +541,18 @@ impl CloudService {
                     self.monitor.retire_token(dev_id, tok, now);
                 }
                 if let Some(user) = revoked {
-                    detail = format!("dev={dev_id} revoked={user}");
                     if let Some(node) = self.accounts.node_of(&user) {
                         pushes.push((node, Response::BindingRevoked));
                     }
+                    revoked_user = Some(user);
                 }
             }
         }
-        self.record_mitigation(now, "quarantine", &detail, trigger);
+        let detail = || match &revoked_user {
+            Some(user) => format!("dev={dev_id} revoked={user}"),
+            None => format!("dev={dev_id}"),
+        };
+        self.record_mitigation(now, "quarantine", detail, trigger);
         pushes
     }
 
@@ -825,11 +832,12 @@ impl CloudService {
     ) -> Outcome {
         let design = self.knobs();
         // Resolve the requesting user and target device per the design's
-        // accepted bind shape.
-        let (dev_id, user) = match (design.bind, payload) {
+        // accepted bind shape. The user stays borrowed until a path needs
+        // an owned copy: most binds of an ID sweep are denied first.
+        let (dev_id, user): (DevId, Cow<'_, UserId>) = match (design.bind, payload) {
             (BindScheme::AclApp, BindPayload::AclApp { dev_id, user_token }) => {
                 match self.accounts.verify_token(user_token) {
-                    Ok(u) => (dev_id.clone(), u.clone()),
+                    Ok(u) => (dev_id.clone(), Cow::Borrowed(u)),
                     Err(reason) => return Outcome::deny(reason),
                 }
             }
@@ -844,7 +852,7 @@ impl CloudService {
                 if let Err(reason) = self.accounts.verify_password(user_id, user_pw) {
                     return Outcome::deny(reason);
                 }
-                (dev_id.clone(), user_id.clone())
+                (dev_id.clone(), Cow::Borrowed(user_id))
             }
             (BindScheme::Capability, BindPayload::Capability { bind_token }) => {
                 // The capability must be submitted by an authenticated
@@ -854,7 +862,7 @@ impl CloudService {
                     return Outcome::deny(DenyReason::DeviceAuthFailed);
                 };
                 match self.bind_tokens.consume(bind_token) {
-                    Ok(u) => (dev_id, u),
+                    Ok(u) => (dev_id, Cow::Owned(u)),
                     Err(reason) => return Outcome::deny(reason),
                 }
             }
@@ -866,8 +874,18 @@ impl CloudService {
         // disabled policy (no limit configured, nothing ever quarantined).
         // The limiter runs before the existence check so ID-space sweeps
         // (which mostly hit unknown IDs) are priced out too.
-        if self.defense_bind_limited(from, now) {
-            self.record_mitigation(now, "rate-limit-bind", &format!("from={from}"), "bind-rate");
+        if over_limit(
+            &mut self.bind_rate,
+            self.config.defense.bind_limit,
+            from,
+            now,
+        ) {
+            self.record_mitigation(
+                now,
+                "rate-limit-bind",
+                || format!("from={from}"),
+                "bind-rate",
+            );
             return Outcome::deny(DenyReason::RateLimited);
         }
         if !self.registry.knows(&dev_id) {
@@ -901,18 +919,18 @@ impl CloudService {
             let holder = self
                 .state
                 .record(&dev_id)
-                .and_then(|r| r.shadow.bound_user())
-                .cloned();
-            if holder.as_ref() != Some(&user) {
+                .and_then(|r| r.shadow.bound_user());
+            if holder != Some(&*user) {
                 if let Some(holder) = holder {
                     self.monitor
-                        .observe_bind_denial(&dev_id, &holder, &user, now);
+                        .observe_bind_denial(&dev_id, holder, &user, now);
                 }
                 return Outcome::deny(DenyReason::AlreadyBound);
             }
         }
 
         // Accept: create (or replace) the binding.
+        let user = user.into_owned();
         let session = if design.checks.post_binding_session {
             Some(SessionToken::from_entropy(rng.entropy128()))
         } else {
@@ -1409,14 +1427,13 @@ impl Actor for CloudService {
                 corr,
                 rsp: outcome.reply,
             }
-            .encode_with(self.codec)
-            .to_vec(),
+            .encode_with(self.codec),
         );
         for (node, rsp) in outcome.pushes {
             self.profiler.tally("cloud.encode", 0);
             ctx.send(
                 Dest::Unicast(node),
-                Envelope::push(rsp).encode_with(self.codec).to_vec(),
+                Envelope::push(rsp).encode_with(self.codec),
             );
         }
     }

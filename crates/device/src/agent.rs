@@ -290,7 +290,7 @@ impl DeviceAgent {
         };
         ctx.send(
             Dest::Unicast(self.config.cloud),
-            env.encode_with(self.codec).to_vec(),
+            env.encode_with(self.codec),
         );
     }
 

@@ -58,7 +58,7 @@ impl Actor for MockCloud {
         self.requests.push(msg);
         ctx.send(
             Dest::Unicast(from),
-            Envelope::Response { corr, rsp }.encode().to_vec(),
+            Envelope::Response { corr, rsp }.encode(),
         );
     }
 }
@@ -304,7 +304,7 @@ fn control_pushes_change_appliance_state() {
                 action,
                 session: None,
             });
-            ctx.send(Dest::Unicast(self.dev), env.encode().to_vec());
+            ctx.send(Dest::Unicast(self.dev), env.encode());
         }
     }
     let mut sim = Simulation::with_quality(2, LinkQuality::perfect(), LinkQuality::perfect());

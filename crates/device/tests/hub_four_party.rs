@@ -35,7 +35,7 @@ impl Actor for RecordingCloud {
         let rsp = Response::StatusAccepted { session: None };
         ctx.send(
             Dest::Unicast(from),
-            Envelope::Response { corr, rsp }.encode().to_vec(),
+            Envelope::Response { corr, rsp }.encode(),
         );
     }
 }

@@ -59,7 +59,7 @@ pub trait Actor: Any {
 pub(crate) enum Effect {
     Send {
         dest: Dest,
-        payload: Vec<u8>,
+        payload: Bytes,
     },
     Timer {
         fire_at: Tick,
@@ -105,8 +105,15 @@ impl<'a> Ctx<'a> {
 
     /// Queues a packet for delivery. Whether it arrives — and when — is
     /// decided by the network (connectivity, latency, loss).
-    pub fn send(&mut self, dest: Dest, payload: Vec<u8>) {
-        self.effects.push(Effect::Send { dest, payload });
+    ///
+    /// An encoded frame is handed over as the [`Bytes`] the codec froze,
+    /// and every delivery shares that buffer; a `Vec<u8>` is wrapped
+    /// without copying.
+    pub fn send(&mut self, dest: Dest, payload: impl Into<Bytes>) {
+        self.effects.push(Effect::Send {
+            dest,
+            payload: payload.into(),
+        });
     }
 
     /// Schedules [`Actor::on_timer`] after `delay` ticks.

@@ -214,6 +214,8 @@ pub struct Simulation {
     idle_queue: BinaryHeap<Reverse<(Pos, u32, u32)>>,
     /// Scratch buffer for [`Simulation::advance_idle`].
     overtaken: Vec<Overtaken>,
+    /// Scratch buffer for the effects of one actor callback.
+    effects: Vec<Effect>,
     now: Tick,
     seq: u64,
     rng: SimRng,
@@ -276,6 +278,7 @@ impl Simulation {
             queue: BinaryHeap::with_capacity(256),
             idle_queue: BinaryHeap::new(),
             overtaken: Vec::new(),
+            effects: Vec::new(),
             now: Tick::ZERO,
             seq: 0,
             rng: SimRng::new(seed),
@@ -878,7 +881,7 @@ impl Simulation {
         f: impl FnOnce(&mut dyn Actor, &mut Ctx<'_>),
     ) {
         self.wake_idle(id.0 as usize);
-        let mut effects = Vec::new();
+        let mut effects = std::mem::take(&mut self.effects);
         {
             let node = &mut self.nodes[id.0 as usize];
             let mut ctx = Ctx {
@@ -891,7 +894,7 @@ impl Simulation {
         }
         let mut callback_trace = cause.map(|c| c.trace_id);
         let parent = cause.map_or(0, |c| c.span_id);
-        for effect in effects {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { dest, payload } => {
                     let trace_id = match callback_trace {
@@ -947,6 +950,7 @@ impl Simulation {
                 }
             }
         }
+        self.effects = effects;
     }
 
     /// Allocates a fresh causal-tree id.
@@ -967,10 +971,9 @@ impl Simulation {
         }
     }
 
-    fn route(&mut self, from: NodeId, dest: Dest, payload: Vec<u8>, trace_id: u64, parent: u64) {
-        // One allocation per send: broadcasts, retransmitted duplicates and
-        // the delivery event all share this buffer from here on.
-        let payload = Bytes::from(payload);
+    fn route(&mut self, from: NodeId, dest: Dest, payload: Bytes, trace_id: u64, parent: u64) {
+        // Broadcasts, retransmitted duplicates and the delivery event all
+        // share the sender's buffer.
         match dest {
             Dest::Unicast(to) => self.route_unicast(from, to, payload, trace_id, parent),
             Dest::Broadcast(lan) => {

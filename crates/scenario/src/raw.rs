@@ -9,6 +9,7 @@
 
 use std::collections::VecDeque;
 
+use bytes::Bytes;
 use rb_netsim::{Actor, Ctx, Dest, NodeId, Tick, TimerKey};
 use rb_wire::envelope::{CorrId, Envelope};
 use rb_wire::messages::{Message, Response};
@@ -21,9 +22,10 @@ const TIMER_DRAIN: TimerKey = 1;
 /// and records whatever arrives.
 #[derive(Debug, Default)]
 pub struct RawEndpoint {
-    outbox: VecDeque<(Dest, Vec<u8>)>,
-    /// Everything received: `(sender, payload)`.
-    pub inbox: Vec<(NodeId, Vec<u8>)>,
+    outbox: VecDeque<(Dest, Bytes)>,
+    /// Everything received: `(sender, payload)`, each payload sharing the
+    /// buffer the network delivered.
+    pub inbox: Vec<(NodeId, Bytes)>,
 }
 
 impl RawEndpoint {
@@ -32,13 +34,14 @@ impl RawEndpoint {
         RawEndpoint::default()
     }
 
-    /// Queues a frame for transmission on the next tick.
-    pub fn queue(&mut self, dest: Dest, payload: Vec<u8>) {
-        self.outbox.push_back((dest, payload));
+    /// Queues a frame for transmission on the next tick. An encoded
+    /// frame goes out as the [`Bytes`] the codec froze, without a copy.
+    pub fn queue(&mut self, dest: Dest, payload: impl Into<Bytes>) {
+        self.outbox.push_back((dest, payload.into()));
     }
 
     /// Drains and returns the inbox.
-    pub fn take_inbox(&mut self) -> Vec<(NodeId, Vec<u8>)> {
+    pub fn take_inbox(&mut self) -> Vec<(NodeId, Bytes)> {
         std::mem::take(&mut self.inbox)
     }
 
@@ -61,8 +64,8 @@ impl Actor for RawEndpoint {
         self.arm(ctx);
     }
 
-    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
-        self.inbox.push((from, payload.to_vec()));
+    fn on_packet_bytes(&mut self, _ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
+        self.inbox.push((from, payload.clone()));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, key: TimerKey) {
@@ -127,7 +130,7 @@ impl RawClient {
         self.corr += 1;
         let corr = CorrId(self.corr);
         let (cloud, codec) = (world.cloud, world.codec());
-        let frame = Envelope::Request { corr, msg }.encode_with(codec).to_vec();
+        let frame = Envelope::Request { corr, msg }.encode_with(codec);
         self.endpoint(world).queue(Dest::Unicast(cloud), frame);
         corr
     }
@@ -138,7 +141,6 @@ impl RawClient {
         let codec = world.codec();
         let mut out = Replies::default();
         for (_, bytes) in self.endpoint(world).take_inbox() {
-            let bytes = bytes::Bytes::from(bytes);
             if let Ok(Envelope::Response { corr, rsp }) = Envelope::decode_with(codec, &bytes) {
                 if corr == CorrId(0) {
                     out.pushes.push(rsp);
@@ -185,7 +187,7 @@ mod tests {
         sim.run_until(Tick(100));
         let endpoint = sim.actor_mut::<RawEndpoint>(raw).unwrap();
         let inbox = endpoint.take_inbox();
-        assert_eq!(inbox, vec![(echo, vec![1, 2, 3])]);
+        assert_eq!(inbox, vec![(echo, Bytes::from(vec![1, 2, 3]))]);
         assert!(endpoint.inbox.is_empty(), "take_inbox drains");
     }
 
@@ -215,7 +217,10 @@ mod tests {
             .queue(Dest::Unicast(sink), vec![8]);
         sim.run_until(Tick(1_010));
         let inbox = sim.actor_mut::<RawEndpoint>(sink).unwrap().take_inbox();
-        assert_eq!(inbox, vec![(raw, vec![7]), (raw, vec![8])]);
+        assert_eq!(
+            inbox,
+            vec![(raw, Bytes::from(vec![7])), (raw, Bytes::from(vec![8]))]
+        );
         assert!(sim
             .trace()
             .iter()
@@ -245,7 +250,7 @@ mod tests {
             corr: CorrId(0),
             rsp: Response::Unbound,
         };
-        let frame = push.encode_with(world.codec()).to_vec();
+        let frame = push.encode_with(world.codec());
         let cloud = world.cloud;
         client.endpoint(&mut world).inbox.push((cloud, frame));
         let replies = client.request(&mut world, attacker_login(), 2_000);

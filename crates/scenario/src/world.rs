@@ -202,7 +202,7 @@ impl WorldBuilder {
         let mut cloud_service = CloudService::new(CloudConfig::new(self.design.clone()));
         cloud_service.set_telemetry(self.telemetry.clone());
         cloud_service.set_profiler(self.profiler.clone());
-        cloud_service.set_defense(self.defense.clone());
+        cloud_service.set_defense(self.defense);
         // Forensic marks only make sense when there is a trace to attach
         // them to; untraced worlds skip the string formatting entirely.
         cloud_service.set_forensics(self.trace);

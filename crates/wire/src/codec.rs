@@ -18,7 +18,9 @@
 //! The free functions [`encode_message`] / [`decode_message`] /
 //! [`encode_response`] / [`decode_response`] *are* the classic format;
 //! [`ClassicCodec`] forwards to them, so pre-trait call sites and the trait
-//! produce identical bytes. All decoders reject trailing bytes, unknown
+//! produce identical bytes. [`encode_message_into`] /
+//! [`encode_response_into`] append the same bytes to a caller's buffer, so
+//! `Envelope::encode` writes header and body into one allocation. All decoders reject trailing bytes, unknown
 //! tags, and out-of-range lengths with precise [`WireError`]s.
 //!
 //! # Example
@@ -758,11 +760,18 @@ fn get_trigger(r: &mut Reader<'_>) -> Result<RuleTrigger, WireError> {
 /// Encodes a [`Message`] to bytes.
 pub fn encode_message(msg: &Message) -> Bytes {
     let mut buf = BytesMut::with_capacity(64);
+    encode_message_into(&mut buf, msg);
+    buf.freeze()
+}
+
+/// Appends the classic encoding of a [`Message`] to `buf`, so a frame
+/// header and its body share one buffer.
+pub fn encode_message_into(buf: &mut BytesMut, msg: &Message) {
     match msg {
         Message::Login { user_id, user_pw } => {
             buf.put_u8(MSG_LOGIN);
-            put_string(&mut buf, user_id.as_str());
-            put_string(&mut buf, user_pw.expose());
+            put_string(buf, user_id.as_str());
+            put_string(buf, user_pw.expose());
         }
         Message::RequestDevToken { user_token } => {
             buf.put_u8(MSG_REQ_DEVTOKEN);
@@ -774,15 +783,15 @@ pub fn encode_message(msg: &Message) -> Bytes {
         }
         Message::Status(s) => {
             buf.put_u8(MSG_STATUS);
-            put_status(&mut buf, s);
+            put_status(buf, s);
         }
         Message::Bind(b) => {
             buf.put_u8(MSG_BIND);
-            put_bind(&mut buf, b);
+            put_bind(buf, b);
         }
         Message::Unbind(u) => {
             buf.put_u8(MSG_UNBIND);
-            put_unbind(&mut buf, u);
+            put_unbind(buf, u);
         }
         Message::Control {
             dev_id,
@@ -791,14 +800,14 @@ pub fn encode_message(msg: &Message) -> Bytes {
             action,
         } => {
             buf.put_u8(MSG_CONTROL);
-            put_dev_id(&mut buf, dev_id);
+            put_dev_id(buf, dev_id);
             buf.put_slice(user_token.as_bytes());
-            put_option_session(&mut buf, session);
-            put_action(&mut buf, action);
+            put_option_session(buf, session);
+            put_action(buf, action);
         }
         Message::QueryShadow { dev_id } => {
             buf.put_u8(MSG_QUERY_SHADOW);
-            put_dev_id(&mut buf, dev_id);
+            put_dev_id(buf, dev_id);
         }
         Message::Share {
             dev_id,
@@ -806,9 +815,9 @@ pub fn encode_message(msg: &Message) -> Bytes {
             grantee,
         } => {
             buf.put_u8(MSG_SHARE);
-            put_dev_id(&mut buf, dev_id);
+            put_dev_id(buf, dev_id);
             buf.put_slice(user_token.as_bytes());
-            put_string(&mut buf, grantee.as_str());
+            put_string(buf, grantee.as_str());
         }
         Message::Unshare {
             dev_id,
@@ -816,20 +825,19 @@ pub fn encode_message(msg: &Message) -> Bytes {
             grantee,
         } => {
             buf.put_u8(MSG_UNSHARE);
-            put_dev_id(&mut buf, dev_id);
+            put_dev_id(buf, dev_id);
             buf.put_slice(user_token.as_bytes());
-            put_string(&mut buf, grantee.as_str());
+            put_string(buf, grantee.as_str());
         }
         Message::SetRule { user_token, rule } => {
             buf.put_u8(MSG_SET_RULE);
             buf.put_slice(user_token.as_bytes());
-            put_dev_id(&mut buf, &rule.trigger_dev);
-            put_trigger(&mut buf, &rule.trigger);
-            put_dev_id(&mut buf, &rule.action_dev);
-            put_action(&mut buf, &rule.action);
+            put_dev_id(buf, &rule.trigger_dev);
+            put_trigger(buf, &rule.trigger);
+            put_dev_id(buf, &rule.action_dev);
+            put_action(buf, &rule.action);
         }
     }
-    buf.freeze()
 }
 
 /// Decodes a [`Message`] from bytes.
@@ -999,6 +1007,13 @@ fn get_telemetry_vec(r: &mut Reader<'_>) -> Result<Vec<TelemetryFrame>, WireErro
 /// Encodes a [`Response`] to bytes.
 pub fn encode_response(rsp: &Response) -> Bytes {
     let mut buf = BytesMut::with_capacity(32);
+    encode_response_into(&mut buf, rsp);
+    buf.freeze()
+}
+
+/// Appends the classic encoding of a [`Response`] to `buf`, so a frame
+/// header and its body share one buffer.
+pub fn encode_response_into(buf: &mut BytesMut, rsp: &Response) {
     match rsp {
         Response::LoginOk { user_token } => {
             buf.put_u8(RSP_LOGIN_OK);
@@ -1014,11 +1029,11 @@ pub fn encode_response(rsp: &Response) -> Bytes {
         }
         Response::StatusAccepted { session } => {
             buf.put_u8(RSP_STATUS_ACCEPTED);
-            put_option_session(&mut buf, session);
+            put_option_session(buf, session);
         }
         Response::Bound { session } => {
             buf.put_u8(RSP_BOUND);
-            put_option_session(&mut buf, session);
+            put_option_session(buf, session);
         }
         Response::Unbound => buf.put_u8(RSP_UNBOUND),
         Response::ControlOk {
@@ -1026,8 +1041,8 @@ pub fn encode_response(rsp: &Response) -> Bytes {
             telemetry,
         } => {
             buf.put_u8(RSP_CONTROL_OK);
-            put_schedule(&mut buf, schedule);
-            put_telemetry_vec(&mut buf, telemetry);
+            put_schedule(buf, schedule);
+            put_telemetry_vec(buf, telemetry);
         }
         Response::ShadowState { online, bound } => {
             buf.put_u8(RSP_SHADOW);
@@ -1036,18 +1051,18 @@ pub fn encode_response(rsp: &Response) -> Bytes {
         }
         Response::TelemetryPush { dev_id, telemetry } => {
             buf.put_u8(RSP_TEL_PUSH);
-            put_dev_id(&mut buf, dev_id);
-            put_telemetry_vec(&mut buf, telemetry);
+            put_dev_id(buf, dev_id);
+            put_telemetry_vec(buf, telemetry);
         }
         Response::ControlPush { action, session } => {
             buf.put_u8(RSP_CTRL_PUSH);
-            put_action(&mut buf, action);
-            put_option_session(&mut buf, session);
+            put_action(buf, action);
+            put_option_session(buf, session);
         }
         Response::BindingRevoked => buf.put_u8(RSP_REVOKED),
         Response::ShareOk { session, guests } => {
             buf.put_u8(RSP_SHARE_OK);
-            put_option_session(&mut buf, session);
+            put_option_session(buf, session);
             buf.put_u16(*guests);
         }
         Response::RuleSet { count } => {
@@ -1059,7 +1074,6 @@ pub fn encode_response(rsp: &Response) -> Bytes {
             buf.put_u8(deny_to_u8(*reason));
         }
     }
-    buf.freeze()
 }
 
 /// Decodes a [`Response`] from bytes.

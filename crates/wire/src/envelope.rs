@@ -7,7 +7,9 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::codec::{decode_message, decode_response, encode_message, encode_response, CodecKind};
+use crate::codec::{
+    decode_message, decode_response, encode_message_into, encode_response_into, CodecKind,
+};
 use crate::error::WireError;
 use crate::messages::{Message, Response};
 
@@ -66,19 +68,25 @@ impl Envelope {
         )
     }
 
-    /// Serializes the envelope.
+    /// Serializes the envelope in the classic format: direction byte,
+    /// big-endian correlation id, then the body, all written into one
+    /// buffer.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16);
+        // Header plus the body capacity the standalone encoders reserve.
+        let mut buf = BytesMut::with_capacity(match self {
+            Envelope::Request { .. } => 9 + 64,
+            Envelope::Response { .. } => 9 + 32,
+        });
         match self {
             Envelope::Request { corr, msg } => {
                 buf.put_u8(DIR_REQUEST);
                 buf.put_u64(corr.0);
-                buf.put_slice(&encode_message(msg));
+                encode_message_into(&mut buf, msg);
             }
             Envelope::Response { corr, rsp } => {
                 buf.put_u8(DIR_RESPONSE);
                 buf.put_u64(corr.0);
-                buf.put_slice(&encode_response(rsp));
+                encode_response_into(&mut buf, rsp);
             }
         }
         buf.freeze()

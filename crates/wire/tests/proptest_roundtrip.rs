@@ -356,6 +356,28 @@ proptest! {
         prop_assert_eq!(classic.encode_response(&rsp).as_ref(), encode_response(&rsp).as_ref());
     }
 
+    /// The one-buffer classic envelope encode is exactly the framing of
+    /// WIRE-FORMAT.md §2: direction byte, big-endian correlation id, then
+    /// the standalone body encoding.
+    #[test]
+    fn classic_envelope_is_header_plus_body(
+        corr in any::<u64>(),
+        msg in arb_message(),
+        rsp in arb_response(),
+    ) {
+        let corr = CorrId(corr);
+        let framed = |dir: u8, body: &[u8]| {
+            let mut out = vec![dir];
+            out.extend_from_slice(&corr.0.to_be_bytes());
+            out.extend_from_slice(body);
+            out
+        };
+        let request = Envelope::Request { corr, msg: msg.clone() };
+        prop_assert_eq!(request.encode().as_ref(), framed(0x01, &encode_message(&msg)).as_slice());
+        let response = Envelope::Response { corr, rsp: rsp.clone() };
+        prop_assert_eq!(response.encode().as_ref(), framed(0x02, &encode_response(&rsp)).as_slice());
+    }
+
     /// Fuzz-style robustness for the compact decoder: arbitrary bytes must
     /// produce Ok or Err, never a panic.
     #[test]

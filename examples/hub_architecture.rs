@@ -116,7 +116,7 @@ fn main() {
     };
     sim.actor_mut::<iot_remote_binding::scenario::RawEndpoint>(attacker)
         .unwrap()
-        .queue(Dest::Unicast(cloud), forged.encode().to_vec());
+        .queue(Dest::Unicast(cloud), forged.encode());
 
     let pushes_before = sim.actor::<AppAgent>(app).unwrap().stats.telemetry_pushes;
     sim.run_until(Tick(120_000));
