@@ -268,12 +268,12 @@ fn bind_step(
 /// Summarizes the alerts the victim cloud's passive monitor raised during
 /// the attack — what a watchful vendor *could* have noticed.
 fn alert_summary(world: &World) -> String {
-    let alerts = world.cloud().monitor().alerts();
+    let alerts = world.cloud().monitor().alert_log();
     if alerts.is_empty() {
         return "cloud monitor: no alerts".to_owned();
     }
     let mut counts: std::collections::BTreeMap<&'static str, usize> = Default::default();
-    for a in alerts {
+    for (_, a) in alerts {
         *counts.entry(a.kind()).or_default() += 1;
     }
     let parts: Vec<String> = counts.iter().map(|(k, n)| format!("{k}×{n}")).collect();

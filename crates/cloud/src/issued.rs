@@ -1,22 +1,17 @@
 //! Issued `DevToken`s and `BindToken` capabilities.
 
+use std::collections::HashMap;
+
 use rb_netsim::SimRng;
 use rb_wire::messages::DenyReason;
 use rb_wire::tokens::{BindToken, DevToken, UserId};
 
-use crate::sharded::ShardedMap;
-
 /// Tracks which user requested each issued `DevToken` — the linkage that
 /// keys a device's cloud session to its legitimate owner and defeats
 /// hijack-then-control on `DevToken` designs.
-///
-/// Issued tokens are stored in a [`ShardedMap`] keyed by token prefix: a
-/// long-lived cloud accumulates one token per provisioning, so the ledger
-/// grows with the population and benefits from sharded rehashing just like
-/// the device registry.
 #[derive(Debug, Default)]
 pub struct DevTokenLedger {
-    issued: ShardedMap<DevToken, UserId>,
+    issued: HashMap<DevToken, UserId>,
 }
 
 impl DevTokenLedger {
@@ -40,24 +35,13 @@ impl DevTokenLedger {
     pub fn verify(&self, token: &DevToken) -> Result<&UserId, DenyReason> {
         self.issued.get(token).ok_or(DenyReason::DeviceAuthFailed)
     }
-
-    /// Number of live tokens.
-    pub fn len(&self) -> usize {
-        self.issued.len()
-    }
-
-    /// Whether no tokens have been issued.
-    pub fn is_empty(&self) -> bool {
-        self.issued.is_empty()
-    }
 }
 
 /// Tracks `BindToken` capabilities: issued to a user, consumed exactly once
-/// when the device submits them back. Sharded by token prefix like
-/// [`DevTokenLedger`].
+/// when the device submits them back.
 #[derive(Debug, Default)]
 pub struct BindTokenLedger {
-    issued: ShardedMap<BindToken, (UserId, bool)>,
+    issued: HashMap<BindToken, (UserId, bool)>,
 }
 
 impl BindTokenLedger {
@@ -98,10 +82,8 @@ mod tests {
     fn dev_tokens_resolve_to_issuer() {
         let mut ledger = DevTokenLedger::new();
         let mut rng = SimRng::new(1);
-        assert!(ledger.is_empty());
         let t = ledger.issue(UserId::new("alice"), &mut rng);
         assert_eq!(ledger.verify(&t).unwrap(), &UserId::new("alice"));
-        assert_eq!(ledger.len(), 1);
         assert!(ledger.verify(&DevToken::from_entropy(99)).is_err());
     }
 

@@ -18,8 +18,6 @@
 //!   [`rb_core::shadow::Shadow`] plus schedules, telemetry, and binding
 //!   session tokens);
 //! * [`audit`] — an append-only audit log consumed by experiments;
-//! * [`sharded`] — prefix-sharded hash maps backing the registry and the
-//!   token ledgers at fleet scale;
 //! * [`service`] — [`service::CloudService`]: the message handlers and the
 //!   [`rb_netsim::Actor`] implementation.
 //!
@@ -33,7 +31,6 @@ pub mod issued;
 pub mod monitor;
 pub mod registry;
 pub mod service;
-pub mod sharded;
 pub mod state;
 
 pub use monitor::{DefensePolicy, Monitor, SecurityAlert};

@@ -4,8 +4,8 @@
 //! notices a foreign unbind, a replaced binding, or an ID-space sweep. This
 //! module is the defensive counterpart — an **online** monitor inside the
 //! cloud, fed by the service handlers on every request and shadow
-//! transition as the world runs (no post-hoc trace scans). It keeps
-//! per-source / per-device sliding-window state, raises typed
+//! transition as the world runs (no post-hoc trace scans). It keeps one
+//! bounded entry per source, contested pair and retired token, raises typed
 //! [`SecurityAlert`]s onto a tick-stamped alert log, measures detection
 //! latency in simulation ticks, and publishes every alert onto the
 //! [`rb_telemetry`] streaming bus for outside subscribers (`rbsim
@@ -26,6 +26,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
+use std::hash::Hash;
 
 use crate::service::RateLimit;
 use rb_netsim::{NodeId, Telemetry, Tick};
@@ -75,8 +76,7 @@ pub enum SecurityAlert {
         new_ip: u32,
     },
     /// One source touched many distinct device IDs (the enumeration /
-    /// scalable-DoS signature of §V-C), either in total or as a burst
-    /// inside the sliding window.
+    /// scalable-DoS signature of §V-C).
     EnumerationSuspected {
         /// The probing source.
         source: NodeId,
@@ -261,48 +261,64 @@ impl DefensePolicy {
     }
 }
 
-/// The streaming monitor: fed observations by the service handlers as the
-/// world runs, keeps bounded per-source sliding-window statistics, and
-/// accumulates a tick-stamped alert log.
+/// Distinct device IDs one source may touch before it is flagged for
+/// enumeration.
+const ENUMERATION_THRESHOLD: usize = 8;
+/// `AlreadyBound` denials per (device, challenger) before the pair is
+/// flagged.
+const CONTESTED_THRESHOLD: u32 = 3;
+
+/// The enumeration tracking of one source.
 #[derive(Debug)]
+enum Source {
+    /// Below the threshold: the distinct device IDs touched so far and the
+    /// tick of the first touch (the detection evidence).
+    Counting { ids: HashSet<DevId>, first_at: Tick },
+    /// Flagged once; nothing more about the source is ever read.
+    Flagged,
+}
+
+/// The denials of one (device, challenger) pair.
+#[derive(Debug)]
+struct Contested {
+    /// Denials counted; the pair is flagged when this reaches
+    /// [`CONTESTED_THRESHOLD`], and counting stops there.
+    denials: u32,
+    /// Tick of the first denial (the detection evidence).
+    first_at: Tick,
+}
+
+/// One retired binding-session token.
+#[derive(Debug)]
+struct Retired {
+    /// Tick of retirement (the detection evidence).
+    retired_at: Tick,
+    /// Whether a replay has been flagged (flag once per token).
+    flagged: bool,
+}
+
+/// The streaming monitor: fed observations by the service handlers as the
+/// world runs, keeps one bounded entry per source, contested pair and
+/// retired token, and accumulates a tick-stamped alert log. Its thresholds
+/// are fixed: 8 distinct device IDs per source, 3 denials per pair.
+#[derive(Debug, Default)]
 pub struct Monitor {
-    /// Actionable alert queue (drained by [`Monitor::take_alerts`]).
-    alerts: Vec<SecurityAlert>,
     /// The cumulative tick-stamped alert log, in raise order. Never
     /// drained; this is the byte-stable alert stream.
     log: Vec<(Tick, SecurityAlert)>,
     /// Position in `log` up to which defenses have already reacted.
     defense_cursor: usize,
-    /// Distinct device IDs touched per source.
-    touched: HashMap<NodeId, HashSet<DevId>>,
-    /// Ticks at which each source first touched a *new* device ID, in
-    /// observation order (the enumeration sliding window).
-    first_touch: HashMap<NodeId, Vec<u64>>,
-    /// Sources already flagged for enumeration (flag once).
-    flagged: HashSet<NodeId>,
+    /// Enumeration tracking per source.
+    sources: HashMap<NodeId, Source>,
     /// Device public IPs observed from device sessions.
     device_ips: HashMap<DevId, u32>,
-    /// AlreadyBound denials per (device, challenger).
-    contested: HashMap<(DevId, UserId), u32>,
-    /// Tick of the first denial per contested pair (latency evidence).
-    contested_first: HashMap<(DevId, UserId), Tick>,
-    /// Contested pairs already flagged.
-    contested_flagged: HashSet<(DevId, UserId)>,
-    /// Retired binding-session tokens and their retirement tick.
-    retired: HashMap<(DevId, SessionToken), Tick>,
-    /// Replayed retired tokens already flagged (flag once per token).
-    replay_flagged: HashSet<(DevId, SessionToken)>,
+    /// `AlreadyBound` denials per device, then per challenger, so a known
+    /// pair is found without cloning either half of its key.
+    contested: HashMap<DevId, HashMap<UserId, Contested>>,
+    /// Retired binding-session tokens.
+    retired: HashMap<(DevId, SessionToken), Retired>,
     /// Quarantined devices and the tick their quarantine expires.
     quarantined: HashMap<DevId, Tick>,
-    /// Threshold of distinct IDs per source before flagging.
-    pub enumeration_threshold: usize,
-    /// Distinct *new* IDs inside [`Monitor::enumeration_window`] before
-    /// flagging (the burst detector; same flag-once as the total).
-    pub enumeration_rate_threshold: usize,
-    /// Sliding-window length in ticks for the enumeration burst detector.
-    pub enumeration_window: u64,
-    /// AlreadyBound denials per (device, challenger) before flagging.
-    pub contested_threshold: u32,
     /// Metrics sink: every raised alert also bumps
     /// `cloud_alerts_total{kind="…"}`, feeds the
     /// `monitor_detection_latency_ticks{kind="…"}` histogram, records the
@@ -311,40 +327,10 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    /// A monitor with the default thresholds (8 distinct IDs in total or
-    /// per 10 000-tick window, 3 denials).
-    pub fn new() -> Self {
-        Monitor {
-            alerts: Vec::new(),
-            log: Vec::new(),
-            defense_cursor: 0,
-            touched: HashMap::new(),
-            first_touch: HashMap::new(),
-            flagged: HashSet::new(),
-            device_ips: HashMap::new(),
-            contested: HashMap::new(),
-            contested_first: HashMap::new(),
-            contested_flagged: HashSet::new(),
-            retired: HashMap::new(),
-            replay_flagged: HashSet::new(),
-            quarantined: HashMap::new(),
-            enumeration_threshold: 8,
-            enumeration_rate_threshold: 8,
-            enumeration_window: 10_000,
-            contested_threshold: 3,
-            telemetry: Telemetry::new(),
-        }
-    }
-
     /// Points the monitor at a shared telemetry registry (normally the
     /// cloud service forwards its own handle here).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// All alerts raised so far and not yet taken.
-    pub fn alerts(&self) -> &[SecurityAlert] {
-        &self.alerts
     }
 
     /// The cumulative tick-stamped alert log (never drained).
@@ -352,15 +338,9 @@ impl Monitor {
         &self.log
     }
 
-    /// Alerts of one kind over the whole run (counted on the log, so
-    /// [`Monitor::take_alerts`] does not reset it).
+    /// Alerts of one kind over the whole run.
     pub fn count(&self, kind: &str) -> usize {
         self.log.iter().filter(|(_, a)| a.kind() == kind).count()
-    }
-
-    /// Drains the actionable alert queue.
-    pub fn take_alerts(&mut self) -> Vec<SecurityAlert> {
-        std::mem::take(&mut self.alerts)
     }
 
     /// The byte-stable rendering of the alert stream: one
@@ -386,10 +366,16 @@ impl Monitor {
         for (kind, n) in kinds {
             let _ = writeln!(out, "  alerts {kind}={n}");
         }
-        let _ = writeln!(out, "  sources_tracked={}", self.touched.len());
-        let _ = writeln!(out, "  sources_flagged={}", self.flagged.len());
+        let flagged = self
+            .sources
+            .values()
+            .filter(|s| matches!(s, Source::Flagged))
+            .count();
+        let contested: usize = self.contested.values().map(HashMap::len).sum();
+        let _ = writeln!(out, "  sources_tracked={}", self.sources.len());
+        let _ = writeln!(out, "  sources_flagged={flagged}");
         let _ = writeln!(out, "  device_ips={}", self.device_ips.len());
-        let _ = writeln!(out, "  contested_pairs={}", self.contested.len());
+        let _ = writeln!(out, "  contested_pairs={contested}");
         let _ = writeln!(out, "  retired_tokens={}", self.retired.len());
         let mut quarantined: Vec<String> = self
             .quarantined
@@ -423,8 +409,7 @@ impl Monitor {
             self.telemetry
                 .publish(now.as_u64(), "alert", &alert.describe());
         }
-        self.log.push((now, alert.clone()));
-        self.alerts.push(alert);
+        self.log.push((now, alert));
     }
 
     /// Raises an alert whose evidence is the raising observation itself
@@ -434,46 +419,37 @@ impl Monitor {
     }
 
     /// Records that `source` addressed `dev_id`; raises the enumeration
-    /// alert when the per-source distinct-ID count crosses the absolute
-    /// threshold *or* the count of new IDs inside the sliding window
-    /// crosses the rate threshold.
+    /// alert, once, when the source has touched
+    /// [`ENUMERATION_THRESHOLD`] distinct IDs. Latency is measured from the
+    /// first touch.
     ///
-    /// The alert is raised once per source, so nothing recorded about a
-    /// flagged source is ever read again: its tables stop growing there,
-    /// which caps them at [`Monitor::enumeration_threshold`] IDs. The
-    /// source stays a key, so `sources_tracked` still counts it.
+    /// A flagged source keeps its key, so `sources_tracked` still counts
+    /// it, but drops its ID set: per-source state is capped at the
+    /// threshold.
     pub(crate) fn observe_target(&mut self, source: NodeId, dev_id: &DevId, now: Tick) {
-        if self.flagged.contains(&source) {
+        let state = self
+            .sources
+            .entry(source)
+            .or_insert_with(|| Source::Counting {
+                ids: HashSet::new(),
+                first_at: now,
+            });
+        let Source::Counting { ids, first_at } = state else {
+            return;
+        };
+        if !ids.insert(dev_id.clone()) || ids.len() < ENUMERATION_THRESHOLD {
             return;
         }
-        let set = self.touched.entry(source).or_default();
-        if !set.insert(dev_id.clone()) {
-            return;
-        }
-        let total = set.len();
-        let ticks = self.first_touch.entry(source).or_default();
-        ticks.push(now.as_u64());
-        let window_start = now.as_u64().saturating_sub(self.enumeration_window);
-        let in_window = ticks.partition_point(|&t| t <= window_start);
-        let windowed = ticks.len() - in_window;
-        let hit_total = total >= self.enumeration_threshold;
-        let hit_window = windowed >= self.enumeration_rate_threshold;
-        if hit_total || hit_window {
-            let evidence = if hit_window {
-                ticks.get(in_window).copied().unwrap_or(now.as_u64())
-            } else {
-                ticks.first().copied().unwrap_or(now.as_u64())
-            };
-            self.flagged.insert(source);
-            self.raise_with_evidence(
-                now,
-                Tick(evidence),
-                SecurityAlert::EnumerationSuspected {
-                    source,
-                    distinct_ids: total,
-                },
-            );
-        }
+        let (distinct_ids, evidence) = (ids.len(), *first_at);
+        *state = Source::Flagged;
+        self.raise_with_evidence(
+            now,
+            evidence,
+            SecurityAlert::EnumerationSuspected {
+                source,
+                distinct_ids,
+            },
+        );
     }
 
     /// Records the public IP a device session spoke from; raises
@@ -500,8 +476,9 @@ impl Monitor {
     }
 
     /// Records an `AlreadyBound` denial of `challenger` for a device held
-    /// by `holder`; flags the pair once the threshold is crossed. Latency
-    /// is measured from the pair's first denial.
+    /// by `holder`; flags the pair, once, at [`CONTESTED_THRESHOLD`]
+    /// denials and stops counting there. Latency is measured from the
+    /// pair's first denial.
     pub(crate) fn observe_bind_denial(
         &mut self,
         dev_id: &DevId,
@@ -509,24 +486,29 @@ impl Monitor {
         challenger: &UserId,
         now: Tick,
     ) {
-        let key = (dev_id.clone(), challenger.clone());
-        self.contested_first.entry(key.clone()).or_insert(now);
-        let n = self.contested.entry(key.clone()).or_default();
-        *n += 1;
-        let denials = *n;
-        if denials >= self.contested_threshold && self.contested_flagged.insert(key.clone()) {
-            let evidence = self.contested_first.get(&key).copied().unwrap_or(now);
-            self.raise_with_evidence(
-                now,
-                evidence,
-                SecurityAlert::ContestedBinding {
-                    dev_id: dev_id.clone(),
-                    holder: holder.clone(),
-                    challenger: challenger.clone(),
-                    denials,
-                },
-            );
+        let pairs = slot(&mut self.contested, dev_id, HashMap::new);
+        let pair = slot(pairs, challenger, || Contested {
+            denials: 0,
+            first_at: now,
+        });
+        if pair.denials == CONTESTED_THRESHOLD {
+            return;
         }
+        pair.denials += 1;
+        if pair.denials < CONTESTED_THRESHOLD {
+            return;
+        }
+        let (denials, evidence) = (pair.denials, pair.first_at);
+        self.raise_with_evidence(
+            now,
+            evidence,
+            SecurityAlert::ContestedBinding {
+                dev_id: dev_id.clone(),
+                holder: holder.clone(),
+                challenger: challenger.clone(),
+                denials,
+            },
+        );
     }
 
     /// A status-family request from `from_ip` dropped the device's
@@ -551,7 +533,12 @@ impl Monitor {
     /// defensive rotation). A later presentation of the token from a
     /// non-device IP is a stale-token replay.
     pub(crate) fn retire_token(&mut self, dev_id: &DevId, token: SessionToken, now: Tick) {
-        self.retired.entry((dev_id.clone(), token)).or_insert(now);
+        self.retired
+            .entry((dev_id.clone(), token))
+            .or_insert(Retired {
+                retired_at: now,
+                flagged: false,
+            });
     }
 
     /// Observes a presented binding-session token; raises
@@ -565,23 +552,25 @@ impl Monitor {
         from_ip: u32,
         now: Tick,
     ) {
-        let key = (dev_id.clone(), token);
-        let Some(&retired_at) = self.retired.get(&key) else {
+        if self.device_ips.get(dev_id) == Some(&from_ip) {
+            return;
+        }
+        let Some(retired) = self.retired.get_mut(&(dev_id.clone(), token)) else {
             return;
         };
-        if self.device_ip(dev_id) == Some(from_ip) {
+        if retired.flagged {
             return;
         }
-        if self.replay_flagged.insert(key) {
-            self.raise_with_evidence(
-                now,
-                retired_at,
-                SecurityAlert::StaleTokenReplay {
-                    dev_id: dev_id.clone(),
-                    from_ip,
-                },
-            );
-        }
+        retired.flagged = true;
+        let evidence = retired.retired_at;
+        self.raise_with_evidence(
+            now,
+            evidence,
+            SecurityAlert::StaleTokenReplay {
+                dev_id: dev_id.clone(),
+                from_ip,
+            },
+        );
     }
 
     /// Places `dev_id` under quarantine until `until`.
@@ -612,10 +601,69 @@ impl Monitor {
     }
 }
 
-impl Default for Monitor {
-    fn default() -> Self {
-        Monitor::new()
+/// The value under `key`, inserted by `init` when absent. The key is cloned
+/// only on insertion.
+fn slot<'a, K: Hash + Eq + Clone, V>(
+    map: &'a mut HashMap<K, V>,
+    key: &K,
+    init: impl FnOnce() -> V,
+) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.clone(), init());
     }
+    match map.get_mut(key) {
+        Some(value) => value,
+        None => unreachable!("inserted above"),
+    }
+}
+
+/// One alert of every kind, about `dev_id` where the kind names a device,
+/// in declaration order.
+#[cfg(test)]
+pub(crate) fn one_of_each(dev_id: &DevId) -> [SecurityAlert; 9] {
+    let (dev_id, victim, mallory) = (dev_id.clone(), UserId::new("v"), UserId::new("a"));
+    [
+        SecurityAlert::ForeignUnbind {
+            dev_id: dev_id.clone(),
+            victim: victim.clone(),
+            requester: mallory.clone(),
+        },
+        SecurityAlert::BareUnbind {
+            dev_id: dev_id.clone(),
+            from_ip: 9,
+        },
+        SecurityAlert::BindingReplaced {
+            dev_id: dev_id.clone(),
+            victim: victim.clone(),
+            new_holder: mallory.clone(),
+        },
+        SecurityAlert::SessionMoved {
+            dev_id: dev_id.clone(),
+            old_ip: 1,
+            new_ip: 9,
+        },
+        SecurityAlert::EnumerationSuspected {
+            source: NodeId(3),
+            distinct_ids: ENUMERATION_THRESHOLD,
+        },
+        SecurityAlert::ContestedBinding {
+            dev_id: dev_id.clone(),
+            holder: victim.clone(),
+            challenger: mallory.clone(),
+            denials: CONTESTED_THRESHOLD,
+        },
+        SecurityAlert::RemoteOnlyBind {
+            dev_id: dev_id.clone(),
+            holder: mallory,
+            from_ip: 9,
+        },
+        SecurityAlert::ImpossibleTransition {
+            dev_id: dev_id.clone(),
+            from_ip: 9,
+            known_ip: 1,
+        },
+        SecurityAlert::StaleTokenReplay { dev_id, from_ip: 9 },
+    ]
 }
 
 #[cfg(test)]
@@ -629,12 +677,11 @@ mod tests {
 
     #[test]
     fn enumeration_flags_once_at_threshold() {
-        let mut m = Monitor::new();
-        m.enumeration_threshold = 3;
-        for i in 0..5 {
+        let mut m = Monitor::default();
+        for i in 0..ENUMERATION_THRESHOLD as u8 + 4 {
             m.observe_target(NodeId(9), &id(i), Tick(1));
         }
-        assert_eq!(m.count("enumeration"), 1, "{:?}", m.alerts());
+        assert_eq!(m.count("enumeration"), 1, "{:?}", m.alert_log());
         // A second source has its own counter.
         m.observe_target(NodeId(8), &id(0), Tick(2));
         assert_eq!(m.count("enumeration"), 1);
@@ -644,139 +691,250 @@ mod tests {
         DevId::Serial { vendor: 7, seq }
     }
 
-    /// The enumeration tracking as it was before flagged sources stopped
-    /// recording: every distinct ID a source touches is kept for good.
-    fn observe_target_unbounded(m: &mut Monitor, source: NodeId, dev_id: &DevId, now: Tick) {
-        let set = m.touched.entry(source).or_default();
-        if !set.insert(dev_id.clone()) {
-            return;
-        }
-        let ticks = m.first_touch.entry(source).or_default();
-        ticks.push(now.as_u64());
-        let window_start = now.as_u64().saturating_sub(m.enumeration_window);
-        let in_window = ticks.partition_point(|&t| t <= window_start);
-        let windowed = ticks.len() - in_window;
-        let total = m.touched.get(&source).map_or(0, HashSet::len);
-        let hit_total = total >= m.enumeration_threshold;
-        let hit_window = windowed >= m.enumeration_rate_threshold;
-        if (hit_total || hit_window) && m.flagged.insert(source) {
-            let ticks = m.first_touch.get(&source).cloned().unwrap_or_default();
-            let evidence = if hit_window {
-                ticks.get(in_window).copied().unwrap_or(now.as_u64())
-            } else {
-                ticks.first().copied().unwrap_or(now.as_u64())
-            };
-            m.raise_with_evidence(
-                now,
-                Tick(evidence),
-                SecurityAlert::EnumerationSuspected {
-                    source,
-                    distinct_ids: total,
-                },
-            );
-        }
-    }
-
     #[test]
     fn flagged_source_tables_stay_bounded() {
-        let mut m = Monitor::new();
+        let mut m = Monitor::default();
         let source = NodeId(9);
-        for seq in 0..100_000 + m.enumeration_threshold as u64 {
+        for seq in 0..100_000 + ENUMERATION_THRESHOLD as u64 {
             m.observe_target(source, &serial(seq), Tick(seq));
         }
         assert_eq!(m.count("enumeration"), 1);
-        assert!(m.touched[&source].len() <= m.enumeration_threshold);
-        assert!(m.first_touch[&source].len() <= m.enumeration_threshold);
+        assert!(matches!(m.sources[&source], Source::Flagged));
         assert!(m.render_state().contains("sources_tracked=1\n"));
     }
 
     #[test]
-    fn bounded_tables_render_like_the_unbounded_ones() {
-        // (total threshold, burst threshold, window): the defaults, and a
-        // burst-first setting where the window decides.
-        for (total, burst, window) in [(8, 8, 10_000), (100, 5, 300)] {
-            let mut bounded = Monitor::new();
-            let mut reference = Monitor::new();
-            for m in [&mut bounded, &mut reference] {
-                m.enumeration_threshold = total;
-                m.enumeration_rate_threshold = burst;
-                m.enumeration_window = window;
+    fn flagged_pair_stops_counting() {
+        let mut m = Monitor::default();
+        let (holder, mallory) = (UserId::new("owner"), UserId::new("mallory"));
+        for t in 0..100_000 + u64::from(CONTESTED_THRESHOLD) {
+            m.observe_bind_denial(&id(1), &holder, &mallory, Tick(t));
+        }
+        assert_eq!(m.count("contested-binding"), 1);
+        assert_eq!(m.contested.len(), 1);
+        assert_eq!(m.contested[&id(1)][&mallory].denials, CONTESTED_THRESHOLD);
+        assert!(m.render_state().contains("contested_pairs=1\n"));
+    }
+
+    /// The monitor's tracking as it was with one table per fact: distinct
+    /// IDs, first-touch ticks and flags per source, with the sliding-window
+    /// burst detector at 8 IDs per 10 000 ticks beside the total of 8;
+    /// denial counts, first denials and flags per contested pair;
+    /// retirement ticks and replay flags per token. Alerts and device IPs go
+    /// through an inner [`Monitor`] whose own tracking tables stay empty,
+    /// so streams and telemetry compare directly.
+    #[derive(Default)]
+    struct Reference {
+        inner: Monitor,
+        touched: HashMap<NodeId, HashSet<DevId>>,
+        first_touch: HashMap<NodeId, Vec<u64>>,
+        flagged: HashSet<NodeId>,
+        contested: HashMap<(DevId, UserId), u32>,
+        contested_first: HashMap<(DevId, UserId), Tick>,
+        contested_flagged: HashSet<(DevId, UserId)>,
+        retired: HashMap<(DevId, SessionToken), Tick>,
+        replay_flagged: HashSet<(DevId, SessionToken)>,
+    }
+
+    impl Reference {
+        const TOTAL: usize = 8;
+        const BURST: usize = 8;
+        const WINDOW: u64 = 10_000;
+        const CONTESTED: u32 = 3;
+
+        fn new(telemetry: Telemetry) -> Self {
+            let mut reference = Reference::default();
+            reference.inner.set_telemetry(telemetry);
+            reference
+        }
+
+        fn observe_target(&mut self, source: NodeId, dev_id: &DevId, now: Tick) {
+            let set = self.touched.entry(source).or_default();
+            if !set.insert(dev_id.clone()) {
+                return;
             }
-            // A fixed pseudo-random mix of sources, repeated IDs and
-            // tick gaps, plus device sessions so other tables fill too.
-            let mut state = 0x2545_f491_4f6c_dd1d_u64;
-            let mut next = || {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                state >> 33
+            let total = set.len();
+            let ticks = self.first_touch.entry(source).or_default();
+            ticks.push(now.as_u64());
+            let window_start = now.as_u64().saturating_sub(Self::WINDOW);
+            let in_window = ticks.partition_point(|&t| t <= window_start);
+            let hit_window = ticks.len() - in_window >= Self::BURST;
+            if (total >= Self::TOTAL || hit_window) && self.flagged.insert(source) {
+                let evidence = if hit_window {
+                    ticks[in_window]
+                } else {
+                    ticks[0]
+                };
+                self.inner.raise_with_evidence(
+                    now,
+                    Tick(evidence),
+                    SecurityAlert::EnumerationSuspected {
+                        source,
+                        distinct_ids: total,
+                    },
+                );
+            }
+        }
+
+        fn observe_bind_denial(&mut self, dev: &DevId, holder: &UserId, by: &UserId, now: Tick) {
+            let key = (dev.clone(), by.clone());
+            self.contested_first.entry(key.clone()).or_insert(now);
+            let n = self.contested.entry(key.clone()).or_default();
+            *n += 1;
+            let denials = *n;
+            if denials >= Self::CONTESTED && self.contested_flagged.insert(key.clone()) {
+                let evidence = self.contested_first[&key];
+                self.inner.raise_with_evidence(
+                    now,
+                    evidence,
+                    SecurityAlert::ContestedBinding {
+                        dev_id: dev.clone(),
+                        holder: holder.clone(),
+                        challenger: by.clone(),
+                        denials,
+                    },
+                );
+            }
+        }
+
+        fn retire_token(&mut self, dev_id: &DevId, token: SessionToken, now: Tick) {
+            self.retired.entry((dev_id.clone(), token)).or_insert(now);
+        }
+
+        fn observe_presented_token(
+            &mut self,
+            dev: &DevId,
+            token: SessionToken,
+            ip: u32,
+            now: Tick,
+        ) {
+            let key = (dev.clone(), token);
+            let Some(&retired_at) = self.retired.get(&key) else {
+                return;
             };
-            let mut now = 0;
-            for _ in 0..20_000 {
-                now += next() % 200;
-                let source = NodeId(1 + (next() % 5) as u32);
-                let dev = serial(next() % 3_000);
-                if next() % 16 == 0 {
-                    let ip = (next() % 4) as u32;
-                    bounded.observe_device_ip(&dev, ip, Tick(now));
-                    reference.observe_device_ip(&dev, ip, Tick(now));
-                }
-                bounded.observe_target(source, &dev, Tick(now));
-                observe_target_unbounded(&mut reference, source, &dev, Tick(now));
+            if self.inner.device_ip(dev) == Some(ip) {
+                return;
             }
-            assert!(bounded.count("enumeration") > 0);
-            assert_eq!(
-                bounded.render_alert_stream(),
-                reference.render_alert_stream()
-            );
-            assert_eq!(bounded.render_state(), reference.render_state());
+            if self.replay_flagged.insert(key) {
+                self.inner.raise_with_evidence(
+                    now,
+                    retired_at,
+                    SecurityAlert::StaleTokenReplay {
+                        dev_id: dev.clone(),
+                        from_ip: ip,
+                    },
+                );
+            }
+        }
+
+        /// `Monitor::render_state`'s text over the reference's own tables
+        /// (the inner monitor's stay empty).
+        fn render_state(&self) -> String {
+            [
+                ("sources_tracked", self.touched.len()),
+                ("sources_flagged", self.flagged.len()),
+                ("contested_pairs", self.contested.len()),
+                ("retired_tokens", self.retired.len()),
+            ]
+            .iter()
+            .fold(self.inner.render_state(), |state, (table, n)| {
+                state.replace(&format!("  {table}=0\n"), &format!("  {table}={n}\n"))
+            })
         }
     }
 
     #[test]
-    fn enumeration_burst_flags_inside_the_window() {
-        let mut m = Monitor::new();
-        // Absolute threshold far away; the burst detector must fire alone.
-        m.enumeration_threshold = 100;
-        m.enumeration_rate_threshold = 3;
-        m.enumeration_window = 1_000;
-        // Two touches long ago, outside the eventual window.
-        m.observe_target(NodeId(9), &id(1), Tick(10));
-        m.observe_target(NodeId(9), &id(2), Tick(20));
-        assert_eq!(m.count("enumeration"), 0);
-        // Three fresh IDs inside one window: flag.
-        m.observe_target(NodeId(9), &id(3), Tick(5_000));
-        m.observe_target(NodeId(9), &id(4), Tick(5_100));
-        assert_eq!(m.count("enumeration"), 0, "two in window is below 3");
-        m.observe_target(NodeId(9), &id(5), Tick(5_200));
-        assert_eq!(m.count("enumeration"), 1);
-        // Re-touching known IDs never re-flags.
-        m.observe_target(NodeId(9), &id(6), Tick(5_300));
-        assert_eq!(m.count("enumeration"), 1);
+    fn bounded_tables_render_like_the_unbounded_ones() {
+        let (tele, ref_tele) = (Telemetry::new(), Telemetry::new());
+        let mut folded = Monitor::default();
+        folded.set_telemetry(tele.clone());
+        let mut reference = Reference::new(ref_tele.clone());
+        let users: Vec<UserId> = (0..4).map(|u| UserId::new(format!("u{u}"))).collect();
+        // A fixed pseudo-random mix of sources, repeated IDs, tick gaps,
+        // device sessions, contested denials and token retire/present.
+        // Source 99 probes rarely, so only the total threshold can flag it;
+        // the others probe densely enough to fill the old window too.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        let mut now = 0;
+        for _ in 0..40_000 {
+            now += next() % 200;
+            let at = Tick(now);
+            let dev = serial(next() % 3_000);
+            match next() % 8 {
+                0 => {
+                    let ip = (next() % 4) as u32;
+                    folded.observe_device_ip(&dev, ip, at);
+                    reference.inner.observe_device_ip(&dev, ip, at);
+                }
+                1 => {
+                    let dev = serial(next() % 40);
+                    let (holder, by) = (&users[0], &users[1 + (next() % 3) as usize]);
+                    folded.observe_bind_denial(&dev, holder, by, at);
+                    reference.observe_bind_denial(&dev, holder, by, at);
+                }
+                2 => {
+                    let dev = serial(next() % 40);
+                    let token = SessionToken::from_entropy(u128::from(next() % 16));
+                    if next() % 2 == 0 {
+                        folded.retire_token(&dev, token, at);
+                        reference.retire_token(&dev, token, at);
+                    } else {
+                        let ip = (next() % 4) as u32;
+                        folded.observe_presented_token(&dev, token, ip, at);
+                        reference.observe_presented_token(&dev, token, ip, at);
+                    }
+                }
+                _ => {
+                    let source = if next() % 64 == 0 {
+                        NodeId(99)
+                    } else {
+                        NodeId(1 + (next() % 5) as u32)
+                    };
+                    folded.observe_target(source, &dev, at);
+                    reference.observe_target(source, &dev, at);
+                }
+            }
+        }
+        for kind in ["enumeration", "contested-binding", "stale-token-replay"] {
+            assert!(folded.count(kind) > 0, "the mix exercises {kind}");
+        }
+        assert_eq!(folded.count("enumeration"), 6, "every source flags");
+        assert_eq!(
+            folded.render_alert_stream(),
+            reference.inner.render_alert_stream()
+        );
+        assert_eq!(folded.render_state(), reference.render_state());
+        // Alert counters and detection-latency histograms, per kind.
+        let prom = tele.to_prometheus();
+        assert!(prom.contains("monitor_detection_latency_ticks"), "{prom}");
+        assert_eq!(prom, ref_tele.to_prometheus());
     }
 
     #[test]
-    fn enumeration_latency_measures_from_the_window_start() {
+    fn enumeration_latency_measures_from_the_first_touch() {
         let tele = Telemetry::new();
-        let mut m = Monitor::new();
+        let mut m = Monitor::default();
         m.set_telemetry(tele.clone());
-        m.enumeration_threshold = 100;
-        m.enumeration_rate_threshold = 3;
-        m.enumeration_window = 1_000;
-        m.observe_target(NodeId(9), &id(1), Tick(5_000));
-        m.observe_target(NodeId(9), &id(2), Tick(5_100));
-        m.observe_target(NodeId(9), &id(3), Tick(5_250));
+        for i in 0..ENUMERATION_THRESHOLD as u8 {
+            m.observe_target(NodeId(9), &id(i), Tick(5_000 + 50 * u64::from(i)));
+        }
         let snap = tele.snapshot();
         let hist = snap
             .histogram("monitor_detection_latency_ticks{kind=\"enumeration\"}")
             .expect("latency histogram");
         assert_eq!(hist.count(), 1);
-        assert_eq!(hist.sum(), 250, "evidence = first touch in the window");
+        assert_eq!(hist.sum(), 350, "evidence = the source's first touch");
     }
 
     #[test]
     fn session_move_detected_only_on_change() {
-        let mut m = Monitor::new();
+        let mut m = Monitor::default();
         m.observe_device_ip(&id(1), 100, Tick(1));
         m.observe_device_ip(&id(1), 100, Tick(2));
         assert_eq!(m.count("session-moved"), 0);
@@ -787,7 +945,7 @@ mod tests {
 
     #[test]
     fn impossible_transition_requires_a_foreign_ip() {
-        let mut m = Monitor::new();
+        let mut m = Monitor::default();
         // Unknown device IP: no basis for impossibility.
         m.observe_binding_drop(&id(1), 9_999, Tick(5));
         assert_eq!(m.count("impossible-transition"), 0);
@@ -802,7 +960,7 @@ mod tests {
 
     #[test]
     fn stale_token_replay_flags_foreign_presentations_once() {
-        let mut m = Monitor::new();
+        let mut m = Monitor::default();
         let token = SessionToken::from_entropy(42);
         m.observe_device_ip(&id(1), 1_000, Tick(1));
         // Live token: nothing to flag.
@@ -822,7 +980,7 @@ mod tests {
     #[test]
     fn stale_token_latency_measures_from_retirement() {
         let tele = Telemetry::new();
-        let mut m = Monitor::new();
+        let mut m = Monitor::default();
         m.set_telemetry(tele.clone());
         let token = SessionToken::from_entropy(7);
         m.retire_token(&id(1), token, Tick(100));
@@ -835,99 +993,21 @@ mod tests {
     }
 
     #[test]
-    fn take_alerts_drains_the_queue_not_the_log() {
-        let mut m = Monitor::new();
-        m.raise(
-            Tick(3),
-            SecurityAlert::BareUnbind {
-                dev_id: id(1),
-                from_ip: 5,
-            },
-        );
-        assert_eq!(m.take_alerts().len(), 1);
-        assert!(m.alerts().is_empty());
-        assert_eq!(m.alert_log().len(), 1, "the log is cumulative");
-        assert_eq!(m.count("bare-unbind"), 1);
-    }
-
-    #[test]
     fn alert_kinds_are_pinned() {
         // Experiment tables and the telemetry counter labels key on these
         // exact strings; changing one silently breaks both.
-        let u = |s: &str| UserId::new(s);
-        let cases: Vec<(SecurityAlert, &str)> = vec![
-            (
-                SecurityAlert::ForeignUnbind {
-                    dev_id: id(1),
-                    victim: u("v"),
-                    requester: u("a"),
-                },
-                "foreign-unbind",
-            ),
-            (
-                SecurityAlert::BareUnbind {
-                    dev_id: id(1),
-                    from_ip: 9,
-                },
-                "bare-unbind",
-            ),
-            (
-                SecurityAlert::BindingReplaced {
-                    dev_id: id(1),
-                    victim: u("v"),
-                    new_holder: u("a"),
-                },
-                "binding-replaced",
-            ),
-            (
-                SecurityAlert::SessionMoved {
-                    dev_id: id(1),
-                    old_ip: 1,
-                    new_ip: 2,
-                },
-                "session-moved",
-            ),
-            (
-                SecurityAlert::EnumerationSuspected {
-                    source: NodeId(3),
-                    distinct_ids: 8,
-                },
-                "enumeration",
-            ),
-            (
-                SecurityAlert::ContestedBinding {
-                    dev_id: id(1),
-                    holder: u("h"),
-                    challenger: u("c"),
-                    denials: 3,
-                },
-                "contested-binding",
-            ),
-            (
-                SecurityAlert::RemoteOnlyBind {
-                    dev_id: id(1),
-                    holder: u("a"),
-                    from_ip: 7,
-                },
-                "remote-only-bind",
-            ),
-            (
-                SecurityAlert::ImpossibleTransition {
-                    dev_id: id(1),
-                    from_ip: 9,
-                    known_ip: 1,
-                },
-                "impossible-transition",
-            ),
-            (
-                SecurityAlert::StaleTokenReplay {
-                    dev_id: id(1),
-                    from_ip: 9,
-                },
-                "stale-token-replay",
-            ),
+        let kinds = [
+            "foreign-unbind",
+            "bare-unbind",
+            "binding-replaced",
+            "session-moved",
+            "enumeration",
+            "contested-binding",
+            "remote-only-bind",
+            "impossible-transition",
+            "stale-token-replay",
         ];
-        for (alert, kind) in cases {
+        for (alert, kind) in one_of_each(&id(1)).into_iter().zip(kinds) {
             assert_eq!(alert.kind(), kind);
             assert!(
                 alert.describe().starts_with(kind),
@@ -939,8 +1019,7 @@ mod tests {
 
     #[test]
     fn contested_binding_flags_once_at_threshold_per_challenger() {
-        let mut m = Monitor::new();
-        m.contested_threshold = 3;
+        let mut m = Monitor::default();
         let holder = UserId::new("owner");
         let mallory = UserId::new("mallory");
         for _ in 0..2 {
@@ -962,9 +1041,8 @@ mod tests {
     #[test]
     fn contested_latency_measures_from_the_first_denial() {
         let tele = Telemetry::new();
-        let mut m = Monitor::new();
+        let mut m = Monitor::default();
         m.set_telemetry(tele.clone());
-        m.contested_threshold = 3;
         let holder = UserId::new("owner");
         let mallory = UserId::new("mallory");
         m.observe_bind_denial(&id(1), &holder, &mallory, Tick(100));
@@ -980,7 +1058,7 @@ mod tests {
     #[test]
     fn raise_emits_telemetry_counters_per_kind() {
         let tele = Telemetry::new();
-        let mut m = Monitor::new();
+        let mut m = Monitor::default();
         m.set_telemetry(tele.clone());
         m.raise(
             Tick(1),
@@ -1009,10 +1087,8 @@ mod tests {
             tele.counter("cloud_alerts_total{kind=\"foreign-unbind\"}"),
             1
         );
-        // Draining alerts does not reset the counters: the registry is the
-        // cumulative record, the alert list is the actionable queue.
-        let drained = m.take_alerts();
-        assert_eq!(drained.len(), 3);
+        // Draining the defense cursor does not reset the counters.
+        assert_eq!(m.drain_defense_alerts().len(), 3);
         assert_eq!(tele.counter("cloud_alerts_total{kind=\"bare-unbind\"}"), 2);
         // Every raise also lands on the streaming bus and the rate series.
         let (_, events) = tele.events_since(0);
@@ -1025,11 +1101,11 @@ mod tests {
     #[test]
     fn threshold_alerts_reach_telemetry_too() {
         let tele = Telemetry::new();
-        let mut m = Monitor::new();
+        let mut m = Monitor::default();
         m.set_telemetry(tele.clone());
-        m.enumeration_threshold = 2;
-        m.observe_target(NodeId(9), &id(1), Tick(1));
-        m.observe_target(NodeId(9), &id(2), Tick(1));
+        for i in 0..ENUMERATION_THRESHOLD as u8 {
+            m.observe_target(NodeId(9), &id(i), Tick(1));
+        }
         assert_eq!(tele.counter("cloud_alerts_total{kind=\"enumeration\"}"), 1);
         m.observe_device_ip(&id(1), 100, Tick(2));
         m.observe_device_ip(&id(1), 200, Tick(3));
@@ -1042,7 +1118,7 @@ mod tests {
     #[test]
     fn alert_stream_and_state_render_deterministically() {
         let run = || {
-            let mut m = Monitor::new();
+            let mut m = Monitor::default();
             m.observe_device_ip(&id(1), 100, Tick(5));
             m.observe_device_ip(&id(1), 9_999, Tick(40));
             m.quarantine(&id(1), Tick(500));
@@ -1061,7 +1137,7 @@ mod tests {
 
     #[test]
     fn quarantine_expires_and_extends() {
-        let mut m = Monitor::new();
+        let mut m = Monitor::default();
         m.quarantine(&id(1), Tick(100));
         assert!(m.is_quarantined(&id(1), Tick(50)));
         assert!(!m.is_quarantined(&id(1), Tick(100)), "until is exclusive");
@@ -1074,7 +1150,7 @@ mod tests {
 
     #[test]
     fn defense_drain_sees_each_alert_once() {
-        let mut m = Monitor::new();
+        let mut m = Monitor::default();
         m.raise(
             Tick(1),
             SecurityAlert::BareUnbind {

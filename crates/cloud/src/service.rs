@@ -180,7 +180,7 @@ impl CloudService {
             rules: HashMap::new(),
             rate: HashMap::new(),
             bind_rate: HashMap::new(),
-            monitor: Monitor::new(),
+            monitor: Monitor::default(),
             telemetry: Telemetry::new(),
             profiler: Profiler::disabled(),
             codec: CodecKind::default(),
@@ -324,11 +324,6 @@ impl CloudService {
         &self.monitor
     }
 
-    /// Mutable access to the monitor (drain alerts, tune thresholds).
-    pub fn monitor_mut(&mut self) -> &mut Monitor {
-        &mut self.monitor
-    }
-
     /// Installs an active-response policy. The default policy is disabled;
     /// installing an enabled one makes the service react to fresh monitor
     /// alerts after every handled request.
@@ -467,25 +462,25 @@ impl CloudService {
             let Some(dev_id) = alert.dev_id().cloned() else {
                 continue;
             };
-            if policy.rotate_tokens
-                && matches!(
-                    kind,
-                    "binding-replaced" | "session-moved" | "stale-token-replay"
-                )
-            {
+            // Takeover-shaped alerts rotate the session token,
+            // occupation-shaped ones quarantine the device. The match is
+            // exhaustive, so a new alert kind must pick its responses.
+            let (rotate, quarantine) = match alert {
+                SecurityAlert::BindingReplaced { .. } => (true, true),
+                SecurityAlert::SessionMoved { .. } | SecurityAlert::StaleTokenReplay { .. } => {
+                    (true, false)
+                }
+                SecurityAlert::ContestedBinding { .. }
+                | SecurityAlert::RemoteOnlyBind { .. }
+                | SecurityAlert::ImpossibleTransition { .. }
+                | SecurityAlert::BareUnbind { .. }
+                | SecurityAlert::ForeignUnbind { .. } => (false, true),
+                SecurityAlert::EnumerationSuspected { .. } => (false, false),
+            };
+            if policy.rotate_tokens && rotate {
                 self.rotate_binding_token(&dev_id, now, rng, kind);
             }
-            if policy.quarantine_ticks > 0
-                && matches!(
-                    kind,
-                    "contested-binding"
-                        | "remote-only-bind"
-                        | "impossible-transition"
-                        | "bare-unbind"
-                        | "foreign-unbind"
-                        | "binding-replaced"
-                )
-            {
+            if policy.quarantine_ticks > 0 && quarantine {
                 pushes.extend(self.quarantine_device(&dev_id, now, policy.quarantine_ticks, kind));
             }
         }
@@ -1459,5 +1454,86 @@ impl std::fmt::Debug for CloudService {
             .field("devices", &self.registry.len())
             .field("audit_entries", &self.audit.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::monitor::one_of_each;
+    use rb_core::vendors;
+    use rb_wire::messages::DeviceAttributes;
+
+    const USER: NodeId = NodeId(1);
+    const DEVICE: NodeId = NodeId(2);
+
+    fn send(cloud: &mut CloudService, from: NodeId, msg: Message) -> Response {
+        cloud
+            .handle_message(from, Tick(10), &msg, &mut SimRng::new(1))
+            .reply
+    }
+
+    /// A hardened KONKE cloud whose device is bound and holds a binding
+    /// session token, so both rotation and quarantine have work to do.
+    fn bound_konke(dev_id: &DevId) -> CloudService {
+        let mut cloud = CloudService::new(CloudConfig::new(vendors::konke()));
+        cloud.set_defense(DefensePolicy::hardened());
+        cloud.provision_account(UserId::new("victim"), UserPw::new("v"));
+        cloud.manufacture(dev_id.clone(), 0, None);
+        // One household: the app and the device share a public IP.
+        cloud.set_public_ip(USER, 100);
+        cloud.set_public_ip(DEVICE, 100);
+        let login = Message::Login {
+            user_id: UserId::new("victim"),
+            user_pw: UserPw::new("v"),
+        };
+        let Response::LoginOk { user_token } = send(&mut cloud, USER, login) else {
+            panic!("login");
+        };
+        let Response::DevTokenIssued { dev_token } =
+            send(&mut cloud, USER, Message::RequestDevToken { user_token })
+        else {
+            panic!("dev token");
+        };
+        let register = StatusPayload::register(
+            StatusAuth::DevToken(dev_token),
+            dev_id.clone(),
+            DeviceAttributes::default(),
+        );
+        assert!(send(&mut cloud, DEVICE, Message::Status(register)).is_ok());
+        let bind = BindPayload::AclApp {
+            dev_id: dev_id.clone(),
+            user_token,
+        };
+        assert!(send(&mut cloud, USER, Message::Bind(bind)).is_ok());
+        assert!(cloud.monitor().alert_log().is_empty());
+        cloud
+    }
+
+    #[test]
+    fn each_alert_kind_draws_its_defenses() {
+        let dev_id = DevId::Digits {
+            value: 424_242,
+            width: 6,
+        };
+        for alert in one_of_each(&dev_id) {
+            let kind = alert.kind();
+            // (rotate-token, quarantine) mitigations drawn.
+            let expected = match kind {
+                "binding-replaced" => (1, 1),
+                "session-moved" | "stale-token-replay" => (1, 0),
+                "enumeration" => (0, 0),
+                _ => (0, 1),
+            };
+            let mut cloud = bound_konke(&dev_id);
+            cloud.monitor.raise(Tick(20), alert);
+            cloud.apply_defenses(Tick(20), &mut SimRng::new(2));
+            let tele = cloud.telemetry();
+            let drawn = (
+                tele.counter("cloud_mitigations_total{action=\"rotate-token\"}"),
+                tele.counter("cloud_mitigations_total{action=\"quarantine\"}"),
+            );
+            assert_eq!(drawn, expected, "{kind}");
+        }
     }
 }

@@ -112,9 +112,9 @@ fn happy_path_raises_no_alerts() {
         }),
     );
     assert!(
-        h.cloud.monitor().alerts().is_empty(),
+        h.cloud.monitor().alert_log().is_empty(),
         "{:?}",
-        h.cloud.monitor().alerts()
+        h.cloud.monitor().alert_log()
     );
 }
 
@@ -202,7 +202,7 @@ fn binding_replacement_and_remote_bind_are_flagged() {
         1,
         "bind IP ≠ device IP"
     );
-    match &h.cloud.monitor().alerts()[0] {
+    match &h.cloud.monitor().alert_log()[0].1 {
         SecurityAlert::BindingReplaced {
             victim, new_holder, ..
         } => {
@@ -247,8 +247,8 @@ fn id_sweep_triggers_enumeration_alert() {
     }
     assert_eq!(h.cloud.monitor().count("enumeration"), 1);
     // The victim's single-device traffic never trips it.
-    assert!(!h.cloud.monitor().alerts().iter().any(
-        |a| matches!(a, SecurityAlert::EnumerationSuspected { source, .. } if *source == USER_NODE)
+    assert!(!h.cloud.monitor().alert_log().iter().any(
+        |(_, a)| matches!(a, SecurityAlert::EnumerationSuspected { source, .. } if *source == USER_NODE)
     ));
 }
 

@@ -1,10 +1,8 @@
 //! Regression tests for the cloud's indexed lookups.
 //!
-//! PR 5 replaced two linear structures with indexes: the per-request
-//! `device_of_node` scan over every shadow record became a node → device
-//! reverse index, and the device registry / token ledgers moved onto
-//! prefix-sharded maps. These tests pin the indexed answers against the
-//! old O(N) reference implementations across session churn, so a future
+//! The per-request `device_of_node` lookup is a node → device reverse
+//! index rather than a scan over every shadow record. These tests pin the
+//! indexed answers against the O(N) scan across session churn, so a
 //! refactor that forgets to maintain the index fails loudly rather than
 //! silently mis-attributing capability binds.
 

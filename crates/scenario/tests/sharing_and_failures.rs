@@ -195,9 +195,9 @@ fn happy_paths_raise_no_security_alerts_for_any_vendor() {
         world.run_for(30_000);
         assert!(world.device(0).is_on(), "{vendor}");
         assert!(
-            world.cloud().monitor().alerts().is_empty(),
+            world.cloud().monitor().alert_log().is_empty(),
             "{vendor}: false positives: {:?}",
-            world.cloud().monitor().alerts()
+            world.cloud().monitor().alert_log()
         );
     }
 }

@@ -124,7 +124,10 @@ fn injected_frame_arrives_verbatim() {
 fn monitor_flags_the_belkin_story() {
     let mut world = WorldBuilder::new(vendors::belkin(), 0xB32).build();
     world.run_setup();
-    assert!(world.cloud().monitor().alerts().is_empty(), "clean setup");
+    assert!(
+        world.cloud().monitor().alert_log().is_empty(),
+        "clean setup"
+    );
     let mut adv = Adversary::new();
     let user_token = adv.login(&mut world);
     let dev_id = world.homes[0].dev_id.clone();
@@ -134,9 +137,9 @@ fn monitor_flags_the_belkin_story() {
     );
     world.run_for(5_000);
     use iot_remote_binding::cloud::SecurityAlert;
-    let alerts = world.cloud().monitor().alerts();
+    let alerts = world.cloud().monitor().alert_log();
     assert!(
-        alerts.iter().any(|a| matches!(
+        alerts.iter().any(|(_, a)| matches!(
             a,
             SecurityAlert::ForeignUnbind { victim, requester, .. }
                 if victim.as_str() == "user0@example.com"
