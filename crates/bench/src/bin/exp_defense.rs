@@ -1,6 +1,15 @@
-//! EXP-DEFENSE — streaming detection, alerting, and active mitigation.
+//! EXP-DEFENSE — passive detection, streaming alerting, and active
+//! mitigation of the Table III attacks.
 //!
-//! Four legs, each a hard gate:
+//! The ground truth is one undefended Table III sweep
+//! ([`run_all_parallel`] at `DETECT_SEED`): it names the feasible cells
+//! (exactly the 15 of Table III, a hard gate) and, from each attack's
+//! evidence, the alerts the cloud's *passive* monitor raised while the
+//! attack ran. The paper's attacks succeed silently on real clouds; every
+//! one of them must leave at least one such alert — no protocol change
+//! required (gate: zero silent successes).
+//!
+//! Then four legs, each a hard gate:
 //!
 //! 1. **Precision = 1.0.** The benign binding lifecycle, disturbed by every
 //!    chaos profile over a 16-seed matrix, runs under the *hardened*
@@ -30,17 +39,25 @@
 
 use std::time::Instant;
 
-use rb_attack::{run_attack, run_attack_opts, AttackOpts};
+use rb_attack::campaign::{run_all_parallel, VendorCampaign};
+use rb_attack::{run_attack_opts, AttackOpts};
 use rb_bench::render_table;
 use rb_bench::report::{emit, BenchReport};
 use rb_cloud::DefensePolicy;
-use rb_core::attacks::{AttackId, Feasibility};
-use rb_core::vendors::{self, vendor_designs};
+use rb_core::attacks::AttackId;
+use rb_core::vendors;
 use rb_netsim::TraceEvent;
 use rb_scenario::{monitor_run, run_lifecycle, ChaosProfile, WorldBuilder};
 
-/// The one seed of the attack grid (worlds are deterministic in it).
+/// The one seed of the defended attack grid (worlds are deterministic in it).
 const SEED: u64 = 0xDEF_2019;
+
+/// Base seed of the undefended sweep that fixes the feasible cells and
+/// records the passive monitor's alerts.
+const DETECT_SEED: u64 = 0xDE7EC7;
+
+/// Feasible cells in the paper's Table III.
+const TABLE3_FEASIBLE: usize = 15;
 
 /// Seeds of the benign chaos matrix.
 const BENIGN_SEEDS: u64 = 16;
@@ -49,6 +66,9 @@ const BENIGN_SEEDS: u64 = 16;
 struct CellRun {
     vendor: String,
     id: AttackId,
+    /// Alerts the passive monitor raised in the undefended run, e.g.
+    /// `foreign-unbind×1` (`no alerts` for a silent success).
+    passive: String,
     alerts: u64,
     mitigations: u64,
     /// Ticks between the first defensive intervention and the end of the
@@ -78,19 +98,26 @@ fn benign_matrix(designs: &[rb_core::design::VendorDesign]) -> (u64, u64, u64) {
     (runs, alerts, mitigations)
 }
 
-/// Leg 2+3: rerun every feasible cell against the hardened cloud with a
-/// forensic capture, and read detection + mitigation off each cell's
-/// private registry and trace.
-fn defended_grid(designs: &[rb_core::design::VendorDesign]) -> (Vec<CellRun>, f64) {
+/// Legs 2+3: rerun every cell the undefended `campaigns` found feasible
+/// against the hardened cloud with a forensic capture, and read detection
+/// + mitigation off each cell's private registry and trace.
+fn defended_grid(campaigns: &[VendorCampaign]) -> (Vec<CellRun>, f64) {
     let mut cells = Vec::new();
     let started = Instant::now();
-    for design in designs {
-        for id in AttackId::ALL {
-            // Ground truth: is the cell feasible against the undefended
-            // cloud? (Blocked/unconfirmable cells have nothing to defend.)
-            if run_attack(design, id, SEED).outcome != Feasibility::Feasible {
+    for campaign in campaigns {
+        let design = &campaign.design;
+        for (&id, undefended) in &campaign.runs {
+            // Blocked/unconfirmable cells have nothing to defend.
+            if !undefended.outcome.is_feasible() {
                 continue;
             }
+            let passive = undefended
+                .evidence
+                .iter()
+                .rev()
+                .find_map(|e| e.strip_prefix("cloud monitor: "))
+                .unwrap_or("(not sampled)")
+                .to_owned();
             let opts = AttackOpts {
                 defense: DefensePolicy::hardened(),
                 capture: true,
@@ -108,6 +135,7 @@ fn defended_grid(designs: &[rb_core::design::VendorDesign]) -> (Vec<CellRun>, f6
             cells.push(CellRun {
                 vendor: design.vendor.clone(),
                 id,
+                passive,
                 alerts: opts.telemetry.counter_family("cloud_alerts_total"),
                 mitigations: run.mitigations,
                 window_reduction,
@@ -146,7 +174,6 @@ fn main() {
     }
 
     println!("EXP-DEFENSE: streaming detection + active mitigation (seed {SEED:#x})\n");
-    let designs = vendor_designs();
 
     // Leg 1: precision on the benign chaos matrix.
     let benign_designs = [vendors::tp_link(), vendors::e_link(), vendors::ozwi()];
@@ -159,9 +186,10 @@ fn main() {
         ChaosProfile::ALL.len() + 1
     );
 
-    // Legs 2+3: the defended attack grid.
-    let (cells, grid_secs) = defended_grid(&designs);
+    // Ground truth, then legs 2+3: the defended attack grid.
+    let (cells, grid_secs) = defended_grid(&run_all_parallel(DETECT_SEED));
     let feasible = cells.len();
+    let silent = cells.iter().filter(|c| c.passive == "no alerts").count();
     let detected = cells.iter().filter(|c| c.alerts > 0).count();
     let mitigated: Vec<&CellRun> = cells.iter().filter(|c| c.mitigations > 0).collect();
     let min_reduction = mitigated
@@ -182,6 +210,7 @@ fn main() {
             vec![
                 c.vendor.clone(),
                 c.id.to_string(),
+                c.passive.clone(),
                 c.alerts.to_string(),
                 c.mitigations.to_string(),
                 c.window_reduction
@@ -195,6 +224,7 @@ fn main() {
             &[
                 "vendor",
                 "cell",
+                "passive alerts (undefended)",
                 "alerts",
                 "mitigations",
                 "window cut (ticks)"
@@ -202,6 +232,13 @@ fn main() {
             &rows
         )
     );
+    println!(
+        "passive detection: {}/{feasible} feasible cells raised an alert undefended \
+         (silent: {silent})",
+        feasible - silent
+    );
+    println!("signature key: foreign-unbind = A3-2 | bare-unbind = A3-1 | binding-replaced =");
+    println!("A3-3/A4-1 | session-moved = status forgery (A1/A3-4) | remote-only-bind = A2/A4-2");
     println!(
         "recall {recall:.3} ({detected}/{feasible} feasible cells detected); \
          {} cells actively mitigated; {grid_alerts} alerts in {grid_secs:.2}s \
@@ -233,6 +270,7 @@ fn main() {
         .metric_f64("precision", precision)
         .metric_f64("recall", recall)
         .metric_u64("feasible_cells", feasible as u64)
+        .metric_u64("passive_silent_cells", silent as u64)
         .metric_u64("detected_cells", detected as u64)
         .metric_u64("mitigated_cells", mitigated.len() as u64)
         .metric_f64("alerts_per_sec", alerts_per_sec)
@@ -252,6 +290,16 @@ fn main() {
     emit(&report, out_path.as_deref());
 
     let mut failed = false;
+    if feasible != TABLE3_FEASIBLE {
+        eprintln!(
+            "exp_defense: GATE FAILED — {feasible} feasible cells, Table III has {TABLE3_FEASIBLE}"
+        );
+        failed = true;
+    }
+    if silent > 0 {
+        eprintln!("exp_defense: GATE FAILED — {silent} successful attacks raised no passive alert");
+        failed = true;
+    }
     if !precision_ok {
         eprintln!("exp_defense: GATE FAILED — the benign chaos matrix tripped the defenses");
         failed = true;

@@ -7,88 +7,35 @@
 //! every binding before the owners set up. Measured across series sizes,
 //! for a vulnerable design vs the capability-based reference — under the
 //! phase profiler and the counting allocator, so the bench also reports
-//! homes/sec, peak bytes/home, and where the ticks went.
+//! homes/sec, peak bytes/home, and where the ticks went. The series
+//! itself is [`rb_bench::dos::dos_scale_series`].
 //!
 //! Prints the human table, then a single `BENCH ` line with the
-//! schema-versioned [`rb_bench::report::BenchReport`] document;
-//! `benches/baselines/dos_scale.json` gates the deterministic fields in
-//! CI via `rb_bench::compare`.
+//! schema-versioned [`rb_bench::report::BenchReport`] document. The
+//! rb-bench `work_counters` test pins the same series: outcome counts,
+//! phase tree and ticks exactly, allocations within a stated margin.
 //!
 //! ```text
 //! cargo run -p rb-bench --bin exp_dos_scale
 //! cargo run -p rb-bench --bin exp_dos_scale -- out.json
 //! ```
+//!
+//! Any flag exits 2 with a usage line.
 
 use std::time::Instant;
 
-use rb_attack::Adversary;
-use rb_bench::render_table;
+use rb_bench::dos::{dos_scale_series, series_designs, DosRow};
 use rb_bench::report::{emit, BenchReport};
-use rb_core::design::VendorDesign;
-use rb_core::vendors;
+use rb_bench::{parse_args, render_table};
 use rb_prof::{AllocScope, CountingAlloc, Profiler};
-use rb_scenario::WorldBuilder;
-use rb_wire::ids::IdScheme;
-use rb_wire::messages::{BindPayload, Message, Response};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Occupies every enumerable device of a series pre-setup, then lets the
-/// victims try. Returns (bindings occupied, victims locked out).
-fn dos_series(
-    design: &VendorDesign,
-    homes: usize,
-    seed: u64,
-    profiler: &Profiler,
-) -> (usize, usize) {
-    let mut world = WorldBuilder::new(design.clone(), seed)
-        .homes(homes)
-        .victim_paused()
-        .with_profiler(profiler.clone())
-        .build();
-    let mut adv = Adversary::new();
-    let token = profiler.enter("dos.enumerate", world.now().as_u64());
-    let user_token = adv.login(&mut world);
-
-    // Enumerate the ID space in allocation order (sequential IDs!) and fire
-    // a bind for each candidate — the attacker does not even know which IDs
-    // were sold.
-    let mut occupied = 0;
-    let budget = (homes as u64) * 2; // sweep a window of the sequence
-    for i in 0..budget {
-        let dev_id = design.id_scheme.id_at(i);
-        let rsp = adv.request_wait(
-            &mut world,
-            Message::Bind(BindPayload::AclApp { dev_id, user_token }),
-            300,
-        );
-        if matches!(rsp, Some(Response::Bound { .. })) {
-            occupied += 1;
-        }
-    }
-    profiler.exit(token, world.now().as_u64());
-
-    // The victims unbox their devices.
-    let token = profiler.enter("dos.victim_setup", world.now().as_u64());
-    world.resume_victims();
-    world.try_run_setup(150_000);
-    let locked_out = (0..homes).filter(|&i| !world.app(i).is_bound()).count();
-    profiler.exit(token, world.now().as_u64());
-    (occupied, locked_out)
-}
-
 fn main() {
+    let out_path = parse_args("exp_dos_scale [out.json]", &mut []);
     println!("EXP-DOS: scalable binding denial-of-service over a product series\n");
-    let out_path = std::env::args().nth(1);
-
-    // A vulnerable vendor with sequential IDs (OZWI-style camera line).
-    let mut vulnerable = vendors::ozwi();
-    vulnerable.id_scheme = IdScheme::SequentialSerial {
-        vendor: 0x0102,
-        start: 0,
-    };
-    let secure = vendors::capability_reference();
+    let designs = series_designs();
 
     let profiler = Profiler::new();
     let scope = AllocScope::start();
@@ -96,9 +43,12 @@ fn main() {
     let mut report = BenchReport::new("exp_dos_scale");
     let mut rows = Vec::new();
     let mut homes_total = 0usize;
-    for homes in [1usize, 2, 4, 8, 16] {
-        let (occ_v, lock_v) = dos_series(&vulnerable, homes, 7_000 + homes as u64, &profiler);
-        let (occ_s, lock_s) = dos_series(&secure, homes, 9_000 + homes as u64, &profiler);
+    dos_scale_series(&designs, &profiler, |row| {
+        let DosRow {
+            homes,
+            vulnerable: (occ_v, lock_v),
+            capability: (occ_s, lock_s),
+        } = row;
         homes_total += homes * 2;
         report
             .metric_u64(&format!("occupied_vulnerable_{homes}"), occ_v as u64)
@@ -112,7 +62,7 @@ fn main() {
             format!("{occ_s}/{homes}"),
             format!("{lock_s}/{homes}"),
         ]);
-    }
+    });
     let elapsed_secs = started.elapsed().as_secs_f64();
     let alloc = scope.finish();
     let profile = profiler.snapshot();

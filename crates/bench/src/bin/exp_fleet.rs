@@ -16,9 +16,11 @@
 //!   merged folded profiles are byte-identical (they must be; the fleet
 //!   determinism tests enforce the same thing).
 //!
-//! Throughput, speedup, and allocator numbers are machine/build-dependent;
-//! `deterministic` and the phase ticks are the pinned expectations —
-//! `benches/baselines/fleet.json` gates them in CI via `rb_bench::compare`.
+//! Throughput and speedup are wall clock and machine-dependent. The
+//! census, `deterministic`, the phase tree and the allocation envelope of
+//! the `--homes 200 --threads 4` run are pinned by the rb-bench
+//! `work_counters` test (ticks and counts exactly, allocations within a
+//! stated margin).
 //!
 //! Prints a human summary, then a single `BENCH ` line with the
 //! schema-versioned [`rb_bench::report::BenchReport`] document:
@@ -29,7 +31,10 @@
 //! cargo run --release -p rb-bench --bin exp_fleet -- --homes 200 --threads 4
 //! RB_BENCH_OUT=artifacts cargo run --release -p rb-bench --bin exp_fleet
 //! ```
+//!
+//! An unknown flag or an unparsable count exits 2 with a usage line.
 
+use rb_bench::parse_args;
 use rb_bench::report::{emit, BenchReport};
 use rb_fleet::{run_fleet_profiled, FleetSpec};
 use rb_prof::{AllocScope, CountingAlloc};
@@ -41,20 +46,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn main() {
     let mut homes = 1000usize;
     let mut threads = 8usize;
-    let mut out_path: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--homes" => {
-                homes = iter.next().and_then(|s| s.parse().ok()).unwrap_or(homes);
-            }
-            "--threads" => {
-                threads = iter.next().and_then(|s| s.parse().ok()).unwrap_or(threads);
-            }
-            other => out_path = Some(other.to_owned()),
-        }
-    }
+    let out_path = parse_args(
+        "exp_fleet [--homes N] [--threads N] [out.json]",
+        &mut [("--homes", &mut homes), ("--threads", &mut threads)],
+    );
 
     let spec = FleetSpec::paper_sweep(homes);
     let cells = spec.cells().len();

@@ -12,7 +12,7 @@
 //! rbsim attack <vendor> <A4-3>    # execute one attack with evidence
 //! rbsim metrics <vendor> [seed]   # binding-lifecycle telemetry (--json|--prom)
 //! rbsim prof <vendor> [seed]      # deterministic self-profile of the lifecycle
-//!                                 #   (--json|--folded, --baseline F --tolerance T)
+//!                                 #   (--json|--folded)
 //! rbsim trace <vendor> [seed]     # causal trace (--timeline|--chrome|--forensics)
 //! rbsim taxonomy                  # Table II
 //! rbsim table3                    # full live Table III
@@ -251,14 +251,8 @@ enum ProfFormat {
 
 /// `rbsim prof`: run the canonical binding lifecycle under the phase
 /// profiler and the allocation counter, render where the ticks and bytes
-/// went, and optionally gate the run against a committed baseline.
-fn cmd_prof(
-    design: &VendorDesign,
-    seed: u64,
-    format: ProfFormat,
-    baseline: Option<&str>,
-    tolerance: f64,
-) {
+/// went.
+fn cmd_prof(design: &VendorDesign, seed: u64, format: ProfFormat) {
     let scope = rb_prof::AllocScope::start();
     let run = rb_scenario::prof_run(design, seed);
     let alloc = scope.finish();
@@ -296,77 +290,6 @@ fn cmd_prof(
                 alloc.allocs_total, alloc.bytes_total, alloc.peak_live_bytes
             );
             println!("(ticks are deterministic sim time; alloc numbers are this build's envelope)");
-        }
-    }
-
-    if let Some(path) = baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("rbsim prof: cannot read baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let base = match rb_bench::report::BenchReport::from_json(&text) {
-            Ok(base) => base,
-            Err(e) => {
-                eprintln!("rbsim prof: bad baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        match rb_bench::report::compare(&report, &base, tolerance) {
-            Ok(()) => eprintln!("baseline check: PASS ({path}, ±{:.0}%)", tolerance * 100.0),
-            Err(violations) => {
-                eprintln!("baseline check: FAIL ({path}, ±{:.0}%)", tolerance * 100.0);
-                for v in &violations {
-                    eprintln!("  {v}");
-                }
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-/// `rbsim compare`: gate any `BenchReport` artifact (a `BENCH` line or a
-/// `bench_*.json` file) against a committed baseline — the CI regression
-/// gate for experiment binaries that emit their own artifacts.
-fn cmd_compare(report_path: &str, baseline_path: &str, tolerance: f64) {
-    let load = |path: &str| -> rb_bench::report::BenchReport {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("rbsim compare: cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        // Artifacts are a single JSON object; stdout captures may carry
-        // extra human-readable lines, so pick the BENCH/JSON line.
-        let line = text
-            .lines()
-            .find(|l| l.starts_with("BENCH ") || l.starts_with('{'))
-            .unwrap_or(&text);
-        rb_bench::report::BenchReport::from_json(line).unwrap_or_else(|e| {
-            eprintln!("rbsim compare: bad report {path}: {e}");
-            std::process::exit(1);
-        })
-    };
-    let report = load(report_path);
-    let base = load(baseline_path);
-    match rb_bench::report::compare(&report, &base, tolerance) {
-        Ok(()) => println!(
-            "compare: PASS ({} vs {}, ±{:.0}%)",
-            report_path,
-            baseline_path,
-            tolerance * 100.0
-        ),
-        Err(violations) => {
-            eprintln!(
-                "compare: FAIL ({} vs {}, ±{:.0}%)",
-                report_path,
-                baseline_path,
-                tolerance * 100.0
-            );
-            for v in &violations {
-                eprintln!("  {v}");
-            }
-            std::process::exit(1);
         }
     }
 }
@@ -700,7 +623,7 @@ fn cmd_fleet(total_homes: usize, threads: usize, seeds: u64, chaos: bool) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: rbsim <list|audit|lint|verify|fuzz|campaign|attack|metrics|prof|compare|monitor|trace|taxonomy|table3|space|fleet> [args]"
+        "usage: rbsim <list|audit|lint|verify|fuzz|campaign|attack|metrics|prof|monitor|trace|taxonomy|table3|space|fleet> [args]"
     );
     eprintln!("  rbsim audit tp-link");
     eprintln!("  rbsim lint tp-link");
@@ -712,8 +635,6 @@ fn usage() -> ! {
     eprintln!("  rbsim attack tp-link A4-3");
     eprintln!("  rbsim metrics tp-link 7 --prom");
     eprintln!("  rbsim prof tp-link 7             # where the ticks and bytes go");
-    eprintln!("  rbsim prof tp-link --baseline benches/baselines/prof_tp_link.json");
-    eprintln!("  rbsim compare bench_exp_fleet.json benches/baselines/fleet.json --tolerance 0.5");
     eprintln!("  rbsim monitor tp-link 7          # streaming monitor vs a scripted attacker");
     eprintln!("  rbsim trace tp-link 7 --chrome   # pipe to a file, load in Perfetto");
     eprintln!("  rbsim trace e-link --forensics   # reconstruct attacks from traces");
@@ -832,25 +753,10 @@ fn main() {
             let mut format = ProfFormat::Human;
             let mut seed = 7u64;
             let mut vendor = None;
-            let mut baseline = None;
-            let mut tolerance = 0.25f64;
-            let mut iter = args[1..].iter();
-            while let Some(arg) = iter.next() {
+            for arg in &args[1..] {
                 match arg.as_str() {
                     "--json" => format = ProfFormat::Json,
                     "--folded" => format = ProfFormat::Folded,
-                    "--baseline" => {
-                        baseline = iter.next().cloned().or_else(|| {
-                            eprintln!("--baseline needs a path");
-                            std::process::exit(2);
-                        });
-                    }
-                    "--tolerance" => {
-                        tolerance = iter.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                            eprintln!("--tolerance needs a number (e.g. 0.25)");
-                            std::process::exit(2);
-                        });
-                    }
                     other => {
                         if let Ok(s) = other.parse() {
                             seed = s;
@@ -861,28 +767,7 @@ fn main() {
                 }
             }
             let design = require_design(vendor.as_deref(), "`rbsim list`");
-            cmd_prof(&design, seed, format, baseline.as_deref(), tolerance);
-        }
-        Some("compare") => {
-            let mut tolerance = 0.25f64;
-            let mut paths = Vec::new();
-            let mut iter = args[1..].iter();
-            while let Some(arg) = iter.next() {
-                match arg.as_str() {
-                    "--tolerance" => {
-                        tolerance = iter.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                            eprintln!("--tolerance needs a number (e.g. 0.25)");
-                            std::process::exit(2);
-                        });
-                    }
-                    other => paths.push(other.to_owned()),
-                }
-            }
-            let [report_path, baseline_path] = paths.as_slice() else {
-                eprintln!("usage: rbsim compare <report.json> <baseline.json> [--tolerance f]");
-                std::process::exit(2);
-            };
-            cmd_compare(report_path, baseline_path, tolerance);
+            cmd_prof(&design, seed, format);
         }
         Some("monitor") => {
             let mut json = false;

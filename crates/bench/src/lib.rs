@@ -1,7 +1,9 @@
 //! # rb-bench
 //!
 //! Experiment binaries regenerating every table and figure of the paper,
-//! plus the shared `BENCH` report schema ([`report`]) they all emit. See `DESIGN.md` for the experiment index and
+//! plus the shared `BENCH` report schema ([`report`]) they all emit and
+//! the workloads that both a binary and the `work_counters` test run
+//! ([`dos`], [`codec`]). See `DESIGN.md` for the experiment index and
 //! `EXPERIMENTS.md` for paper-vs-measured records.
 //!
 //! Binaries (each prints its artifact to stdout):
@@ -19,12 +21,19 @@
 //! | `exp_attack_window` | §V-E — the A4-2 setup-window race |
 //! | `exp_ablation` | §VII — mitigation ablation matrix |
 //! | `exp_design_space` | extension — exhaustive design-space survey |
-//! | `exp_detection` | extension — runtime detectability of the attacks |
+//! | `exp_defense` | extension — passive detection, streaming monitor and active mitigation of the Table III attacks |
+//! | `exp_forensics` | extension — attack reconstruction from causal traces |
 //! | `exp_lint` | extension — design-linter soundness/precision sweep |
+//! | `exp_mc` | extension — model-checker determinism, agreement and replay gates |
+//! | `exp_fuzz` | extension — lifecycle-fuzzer campaign gates |
 //! | `exp_chaos` | extension — setup convergence under injected faults |
 //! | `exp_observability` | extension — binding-latency percentiles + sim throughput |
+//! | `exp_fleet` | extension — population-scale parallel sweep, phase and allocation envelope |
+//! | `exp_codec` | extension — wire-codec throughput, frame size and allocations |
 //! | `rbsim` | the whole toolkit as one CLI |
 
+pub mod codec;
+pub mod dos;
 pub mod report;
 
 use std::fmt::Write as _;
@@ -75,6 +84,43 @@ fn display_width(s: &str) -> usize {
     s.chars().count()
 }
 
+/// Parses an experiment binary's command line: `--name <count>` for each
+/// of `options` (overwriting its default) and at most one bare argument,
+/// the artifact path. Anything else — an unknown flag, a missing or
+/// unparsable count, a second path — prints the error and `usage` and
+/// exits 2.
+pub fn parse_args(usage: &str, options: &mut [(&str, &mut usize)]) -> Option<String> {
+    parse_args_from(std::env::args().skip(1), options).unwrap_or_else(|e| {
+        eprintln!("{e}\nusage: {usage}");
+        std::process::exit(2);
+    })
+}
+
+fn parse_args_from(
+    args: impl IntoIterator<Item = String>,
+    options: &mut [(&str, &mut usize)],
+) -> Result<Option<String>, String> {
+    let mut out_path = None;
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with('-') {
+            if let Some(first) = out_path.replace(arg) {
+                return Err(format!("more than one output path ({first:?})"));
+            }
+            continue;
+        }
+        let (_, value) = options
+            .iter_mut()
+            .find(|(name, _)| *name == arg)
+            .ok_or_else(|| format!("unknown option {arg}"))?;
+        let text = args.next().unwrap_or_default();
+        **value = text
+            .parse()
+            .map_err(|_| format!("{arg} needs a count, got {text:?}"))?;
+    }
+    Ok(out_path)
+}
+
 /// Formats a duration in seconds into a human-friendly unit.
 pub fn human_secs(secs: f64) -> String {
     if secs < 1.0 {
@@ -110,6 +156,27 @@ mod tests {
         let width = lines[0].chars().count();
         assert!(lines.iter().all(|l| l.chars().count() == width), "{t}");
         assert!(t.contains("| Belkin"));
+    }
+
+    #[test]
+    fn args_parse_counts_and_one_path() {
+        let parse = |args: &[&str]| {
+            let (mut homes, mut threads) = (1000, 8);
+            let out = parse_args_from(
+                args.iter().map(|a| a.to_string()),
+                &mut [("--homes", &mut homes), ("--threads", &mut threads)],
+            );
+            out.map(|out| (homes, threads, out))
+        };
+        assert_eq!(parse(&[]), Ok((1000, 8, None)));
+        assert_eq!(
+            parse(&["--homes", "40", "out.json", "--threads", "2"]),
+            Ok((40, 2, Some("out.json".to_owned())))
+        );
+        assert!(parse(&["--homes", "40", "--thread", "2"]).is_err());
+        assert!(parse(&["--homes", "forty"]).is_err());
+        assert!(parse(&["--homes"]).is_err());
+        assert!(parse(&["a.json", "b.json"]).is_err());
     }
 
     #[test]

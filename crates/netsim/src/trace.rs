@@ -216,6 +216,36 @@ fn parse_err(message: impl Into<String>) -> TraceParseError {
     }
 }
 
+/// Reverses [`rb_telemetry::json::escape`]. Returns `None` on a
+/// malformed escape.
+fn unescape(s: &str) -> Option<String> {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next()? {
+            '"' => out.push('"'),
+            '\\' => out.push('\\'),
+            'n' => out.push('\n'),
+            'r' => out.push('\r'),
+            't' => out.push('\t'),
+            'u' => {
+                let hex: String = chars.by_ref().take(4).collect();
+                if hex.len() != 4 {
+                    return None;
+                }
+                let code = u32::from_str_radix(&hex, 16).ok()?;
+                out.push(char::from_u32(code)?);
+            }
+            _ => return None,
+        }
+    }
+    Some(out)
+}
+
 /// One parsed JSON scalar (the codec only ever needs these three shapes).
 enum Scalar {
     Num(u64),
@@ -261,7 +291,7 @@ impl<'a> Cursor<'a> {
             } else if c == '"' {
                 let raw = &self.rest[..idx];
                 self.rest = &self.rest[idx + 1..];
-                return rb_telemetry::json::unescape(raw)
+                return unescape(raw)
                     .ok_or_else(|| parse_err(format!("bad string escape in \"{raw}\"")));
             }
         }

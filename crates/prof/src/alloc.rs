@@ -15,8 +15,8 @@
 //!
 //! Byte counts are deterministic for a fixed binary on a fixed input (the
 //! workspace's runs are pure functions of `(design, seed, profile)`), but
-//! they shift across compiler versions; the regression gate compares them
-//! under tolerance, never byte-exactly.
+//! they shift across compiler versions; the rb-bench `work_counters` test
+//! pins them within a stated margin, never byte-exactly.
 // The one audited unsafe surface in the workspace: delegating the four
 // GlobalAlloc entry points to `System`. The CI `verify` job greps the tree
 // for `unsafe` and exempts exactly this file.

@@ -59,35 +59,6 @@ pub mod json {
         }
         out
     }
-
-    /// Reverses [`escape`]. Returns `None` on a malformed escape.
-    pub fn unescape(s: &str) -> Option<String> {
-        let mut out = String::with_capacity(s.len());
-        let mut chars = s.chars();
-        while let Some(c) = chars.next() {
-            if c != '\\' {
-                out.push(c);
-                continue;
-            }
-            match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    if hex.len() != 4 {
-                        return None;
-                    }
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            }
-        }
-        Some(out)
-    }
 }
 
 /// Shared handle onto a [`Registry`].
@@ -417,10 +388,11 @@ mod tests {
     }
 
     #[test]
-    fn json_escape_roundtrip() {
-        let ugly = "a\"b\\c\nd\te\u{1}f";
-        assert_eq!(json::unescape(&json::escape(ugly)).unwrap(), ugly);
-        assert!(json::unescape("bad\\q").is_none());
+    fn json_escape_writes_json_string_escapes() {
+        assert_eq!(json::escape("plain ✓"), "plain ✓");
+        assert_eq!(json::escape("a\"b\\c"), r#"a\"b\\c"#);
+        assert_eq!(json::escape("d\ne\rf\tg"), r"d\ne\rf\tg");
+        assert_eq!(json::escape("\u{1}\u{1f}"), r"\u0001\u001f");
     }
 
     #[test]
